@@ -6,19 +6,25 @@ uniform morphism; the claim behind it is that images of (5/4+)-free words
 avoid the pattern. verify_entry checks a bounded slice of that claim and
 reports nothing stronger: no occurrence with total image length up to the
 cap inside the image of any free preimage up to the length bound.
+
+That slice is a finite set of windows: an occurrence of total length at
+most cap that ends in the last q-letter block of an image lies in the image
+of the last t = ceil(cap/q) + 1 letters of its preimage, so each distinct
+such suffix is searched once. Preimages longer than t add no window.
+Searches and avoider counting shard over processes with
+patterns.map_workers; reports and counts are the same for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .patterns import Occurrence, Pattern, find_occurrence
+from .patterns import Occurrence, Pattern, find_occurrence, map_workers
 from .series import certify_threeavoidable, check_bound_against_counts
-from .words import DISPLAY, Word, generate_free_words
+from .words import DISPLAY, MAX_ALPHABET, Word, generate_free_words
 
 FREE_EXPONENT = Fraction(5, 4)
 DEFAULT_PREIMAGE_LEN = 6
@@ -66,6 +72,7 @@ class VerificationReport:
     preimages_checked: int
     passed: bool
     counterexample: Optional[tuple[Word, Occurrence]]
+    windows_searched: int  # distinct preimage suffixes searched to the verdict
 
 
 def parse_morphism(text: str) -> Morphism:
@@ -138,109 +145,67 @@ def _window_blocks(image_cap: int, q: int) -> int:
 def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LEN,
                  image_cap: int | None = None, workers: int = 1
                  ) -> VerificationReport:
-    """Stream every (5/4+)-free preimage up to the length bound and search
-    its image for an occurrence of the entry's pattern with total image
+    """Check that no (5/4+)-free preimage up to the length bound has an
+    image containing an occurrence of the entry's pattern with total image
     length <= image_cap (default twice the uniform length).
 
-    Only the suffix of the image contributed by the newly appended letter
-    needs searching at each step: the stream is prefix-closed, so earlier
-    positions were covered when the shorter preimage was visited. Search
-    results are cached per trailing letter group, which the window size
-    makes sound.
+    The stream is prefix-closed, so each preimage only needs the
+    occurrences ending in its last block, and those lie in the image of
+    its last t = ceil(cap/q) + 1 letters. The check is therefore one search
+    per distinct suffix of length t, in order of first appearance; the
+    first hit is reported at the preimage where its suffix first appears.
     """
     q = entry.morphism.uniform_len
     cap = 2 * q if image_cap is None else image_cap
     if max_preimage_len < 1 or cap < 1:
         raise ValueError("caps must be positive")
-    if workers > 1:
-        return _verify_parallel(entry, max_preimage_len, cap, workers)
-    checked = 0
-    memo: dict[str, Optional[Occurrence]] = {}
     tail = _window_blocks(cap, q)
-    for w in generate_free_words(5, FREE_EXPONENT, max_preimage_len):
-        checked += 1
-        key = w[-tail:]
-        if key in memo:
-            rel = memo[key]
-        else:
-            window = apply_morphism(entry.morphism, key)
-            rel = find_occurrence(entry.pattern, window, cap,
-                                  min_end=(len(key) - 1) * q + 1)
-            memo[key] = rel
-        if rel is not None:
-            offset = (len(w) - len(key)) * q
-            occ = Occurrence(rel.start + offset, rel.images)
-            return VerificationReport(entry.pattern, entry.morphism_id,
-                                      max_preimage_len, cap, checked,
-                                      False, (w, occ))
-    return VerificationReport(entry.pattern, entry.morphism_id,
-                              max_preimage_len, cap, checked, True, None)
-
-
-def _verify_shard(args) -> tuple[int, Optional[tuple[str, Occurrence]]]:
-    first, images, pattern, max_len, cap = args
-    entry = CorpusEntry(Pattern(pattern), Morphism(images), 0.0)
-    q = entry.morphism.uniform_len
-    tail = _window_blocks(cap, q)
-    memo: dict[str, Optional[Occurrence]] = {}
+    first: dict[str, tuple[int, Word]] = {}  # suffix -> (stream index, preimage)
     checked = 0
-    for w in generate_free_words(5, FREE_EXPONENT, max_len):
-        if w[0] != first:
-            continue
-        checked += 1
-        key = w[-tail:]
-        if key not in memo:
-            window = apply_morphism(entry.morphism, key)
-            memo[key] = find_occurrence(entry.pattern, window, cap,
-                                        min_end=(len(key) - 1) * q + 1)
-        rel = memo[key]
+    for checked, w in enumerate(generate_free_words(5, FREE_EXPONENT,
+                                                    max_preimage_len), 1):
+        first.setdefault(w[-tail:], (checked, w))
+    keys = list(first)
+    jobs = [(entry.pattern, entry.morphism, key, cap) for key in keys]
+    hits = map_workers(_search_window, jobs, workers)
+    searched = 0
+    for searched, (key, rel) in enumerate(zip(keys, hits), 1):
         if rel is not None:
+            index, w = first[key]
             occ = Occurrence(rel.start + (len(w) - len(key)) * q, rel.images)
-            return checked, (str(w), occ)
-    return checked, None
-
-
-def _verify_parallel(entry: CorpusEntry, max_len: int, cap: int,
-                     workers: int) -> VerificationReport:
-    # shards are the 5 first-letter subtrees of the preimage stream; the
-    # merged report is identical to the sequential one because the stream
-    # visits shards in letter order
-    jobs = [("01234"[i], entry.morphism.images, str(entry.pattern),
-             max_len, cap) for i in range(5)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_verify_shard, jobs))
-    checked = 0
-    for count, hit in results:
-        checked += count
-        if hit is not None:
-            w, occ = hit
             return VerificationReport(entry.pattern, entry.morphism_id,
-                                      max_len, cap, checked, False,
-                                      (Word(w, alphabet_size=5), occ))
+                                      max_preimage_len, cap, index, False,
+                                      (w, occ), searched)
     return VerificationReport(entry.pattern, entry.morphism_id,
-                              max_len, cap, checked, True, None)
+                              max_preimage_len, cap, checked, True, None,
+                              searched)
+
+
+def _search_window(job) -> Optional[Occurrence]:
+    # occurrences in the image of a preimage suffix that end in its last block
+    pattern, morphism, key, cap = job
+    window = apply_morphism(morphism, key)
+    return find_occurrence(pattern, window, cap,
+                           min_end=(len(key) - 1) * morphism.uniform_len + 1)
 
 
 def count_avoiding(p: str, m: int, up_to: int, workers: int = 1) -> list[int]:
     """n_i = number of words of length i over Sigma_m with no occurrence of
-    p, for i = 0..up_to, by DFS over the prefix tree.
+    p, for i = 0..up_to, by DFS over the prefix tree, one job per first
+    letter.
 
     After each appended letter only occurrences ending at the new position
     are tested: the avoiding language is factorial, so any other occurrence
     was already caught when its own end position was appended.
     """
     pat = Pattern(p)
-    counts = [0] * (up_to + 1)
-    counts[0] = 1
-    if up_to == 0:
-        return counts
-    jobs = [(first, str(pat), m, up_to) for first in range(m)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_count_shard, jobs))
-    else:
-        shards = [_count_shard(job) for job in jobs]
-    for sub in shards:
+    if not 1 <= m <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size {m} outside 1..{MAX_ALPHABET}")
+    if up_to < 0:
+        raise ValueError(f"up_to must be non-negative, got {up_to}")
+    counts = [1] + [0] * up_to
+    jobs = [(first, str(pat), m, up_to) for first in range(m)] if up_to else []
+    for sub in map_workers(_count_shard, jobs, workers):
         for i, c in enumerate(sub):
             counts[i] += c
     return counts

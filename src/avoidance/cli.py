@@ -86,11 +86,7 @@ def cmd_series(args) -> int:
     else:
         k = args.prefix_len
         if k is None:
-            k = 0
-            for i, c in enumerate(p):
-                if c in p[:i]:
-                    break
-                k = i + 1
+            k = series.distinct_prefix_len(p)
         spec = series.spec_prefix(p, args.alphabet, k)
     res = series.smallest_positive_root(spec)
     if args.json:
@@ -119,7 +115,8 @@ def cmd_ae(args) -> int:
 def _report_json(rep: certify.VerificationReport) -> dict:
     out = {"pattern": str(rep.pattern), "morphism_id": rep.morphism_id,
            "max_preimage_len": rep.max_preimage_len, "image_cap": rep.image_cap,
-           "preimages_checked": rep.preimages_checked, "passed": rep.passed,
+           "preimages_checked": rep.preimages_checked,
+           "windows_searched": rep.windows_searched, "passed": rep.passed,
            "counterexample": None}
     if rep.counterexample:
         w, occ = rep.counterexample

@@ -9,11 +9,12 @@ reproduces the sporadic candidate lists up to reversal symmetry.
 
 from __future__ import annotations
 
+import os
 import string
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .words import DISPLAY
 
@@ -37,6 +38,23 @@ class Pattern(str):
     @property
     def is_canonical(self) -> bool:
         return self == canonicalize(self)
+
+
+def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterable:
+    """fn over jobs, results in job order: a lazy in-process map when one
+    process suffices (a caller that stops early skips the rest), else a
+    process pool of min(workers, cpu count, number of jobs).
+
+    fn must be a module-level function so the pool can pickle it.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    jobs = list(jobs)
+    size = min(workers, os.cpu_count() or 1, len(jobs))
+    if size <= 1:
+        return map(fn, jobs)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, jobs))
 
 
 @dataclass(frozen=True)
@@ -231,21 +249,14 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[Pattern]:
         raise ValueError("enumeration is defined for v in {4, 5}")
     k = 4 if v == 4 else 3
     prefix = VARS[:k]
-    survivors = []
     candidates = [p for p in _doubled_of_length(2 * v, v, exactly_twice=True)
                   if not p.startswith(prefix) and not reverse(p).startswith(prefix)]
-    if workers > 1:
-        chunks = [tuple(candidates[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_survives_containment, chunks):
-                survivors.extend(part)
-        survivors.sort()
-    else:
-        survivors = _survives_containment(tuple(candidates))
-    kept = set(survivors)
-    out = [Pattern(p) for p in survivors
-           if not (reverse(p) in kept and reverse(p) < p)]
-    return sorted(out)
+    chunks = [tuple(candidates[i::workers])
+              for i in range(min(workers, len(candidates)))]
+    kept = {p for part in map_workers(_survives_containment, chunks, workers)
+            for p in part}
+    return sorted(Pattern(p) for p in kept
+                  if not (reverse(p) in kept and reverse(p) < p))
 
 
 def is_n_splitted(w: str, n: int) -> bool:

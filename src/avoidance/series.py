@@ -60,6 +60,16 @@ def spec_full(p: str, m: int) -> SeriesSpec:
     return SeriesSpec(m, tuple((m, occ) for _, occ in _occurrence_counts(p)))
 
 
+def distinct_prefix_len(p: str) -> int:
+    """Length of the longest prefix of p whose symbols are all distinct."""
+    seen: set[str] = set()
+    for c in p:
+        if c in seen:
+            break
+        seen.add(c)
+    return len(seen)
+
+
 def spec_prefix(p: str, m: int, k: int) -> SeriesSpec:
     """Terms for a pattern whose first k symbols are k distinct variables:
     those variables are determined by the tail, contributing (1, occ-1);
@@ -152,12 +162,7 @@ def certify_threeavoidable(p: str) -> CertificationReport:
     """
     pat = Pattern(p)
     attempts = [Attempt("full", *_try(spec_full(pat, 3)))]
-    k_max = 0
-    for i, c in enumerate(pat):
-        if c in pat[:i]:
-            break
-        k_max = i + 1
-    for k in range(2, k_max + 1):
+    for k in range(2, distinct_prefix_len(pat) + 1):
         attempts.append(Attempt(f"prefix{k}", *_try(spec_prefix(pat, 3, k))))
     return CertificationReport(pat, tuple(attempts))
 

@@ -136,8 +136,39 @@ class TestVerifyEntry:
     def test_parallel_matches_serial(self):
         e = corpus()[0]
         a = verify_entry(e, max_preimage_len=3)
-        b = verify_entry(e, max_preimage_len=3, workers=2)
-        assert (a.passed, a.preimages_checked) == (b.passed, b.preimages_checked)
+        assert a == verify_entry(e, max_preimage_len=3, workers=2)
+
+    @pytest.mark.parametrize("letter, first_use",
+                             [(0, "0"), (1, "01"), (2, "012"), (3, "0123"),
+                              (4, "012304")])
+    def test_parallel_matches_serial_on_counterexamples(self, letter, first_use):
+        # a unary image is caught at the first preimage using its letter,
+        # which for letters past 0 is not the first preimage of the stream
+        e = corpus()[0]
+        images = list(e.morphism.images)
+        images[letter] = "0" * e.morphism.uniform_len
+        bad = CorpusEntry(e.pattern, Morphism(tuple(images)), e.ae)
+        a = verify_entry(bad)
+        assert a == verify_entry(bad, workers=2)
+        assert not a.passed
+        preimage, _ = a.counterexample
+        assert preimage == first_use
+        assert a.preimages_checked == len(first_use)
+
+    def test_windows_searched_stops_growing_at_window_length(self):
+        # at the default cap 2q the window is 3 letters, so preimages longer
+        # than 3 bring no new window: every free word of length <= 3 is one
+        e = corpus()[0]
+        reports = [verify_entry(e, max_preimage_len=n) for n in (3, 6, 9)]
+        assert [r.windows_searched for r in reports] == [85, 85, 85]
+        assert [r.preimages_checked for r in reports] == [85, 805, 2725]
+
+    def test_windows_searched_stops_at_the_first_hit(self):
+        e = corpus()[0]
+        rep = verify_entry(CorpusEntry(Pattern("AA"), e.morphism, 2.0),
+                           max_preimage_len=1)
+        assert not rep.passed
+        assert rep.windows_searched == rep.preimages_checked
 
     def test_constant_morphism_is_caught(self):
         e = corpus()[0]
@@ -199,6 +230,13 @@ class TestCountAvoiding:
 
     def test_parallel_matches_serial(self):
         assert count_avoiding("AA", 3, 8, workers=2) == count_avoiding("AA", 3, 8)
+
+    @pytest.mark.parametrize("m, up_to, workers",
+                             [(3, -1, 1), (0, 4, 1), (27, 4, 1), (3, 4, 0),
+                              (3, 0, -3)])
+    def test_rejects_bad_input(self, m, up_to, workers):
+        with pytest.raises(ValueError):
+            count_avoiding("AA", m, up_to, workers=workers)
 
     def test_pattern_longer_than_any_extension_never_blocks(self):
         got = count_avoiding("AAAA", 2, 6)

@@ -180,6 +180,15 @@ class TestVerify:
         assert len(reports) == 1
         assert reports[0]["passed"] is True
         assert reports[0]["preimages_checked"] == 5
+        assert reports[0]["windows_searched"] == 5
+
+    def test_non_positive_workers_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--entry", "ABACBDCD", "--max-preimage-len", "1",
+            "--workers", "-3",
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
 
 class TestCount:
@@ -201,6 +210,18 @@ class TestCount:
         )
         assert a == b
         assert json.loads(a)["counts"] == [1, 3, 6, 12, 18, 30, 42]
+
+    @pytest.mark.parametrize("flags", [
+        ("--alphabet", "3", "--up-to", "-1"),
+        ("--alphabet", "30", "--up-to", "4"),
+        ("--alphabet", "0", "--up-to", "4"),
+        ("--alphabet", "3", "--up-to", "4", "--workers", "0"),
+    ])
+    def test_bad_input_is_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "count", "--pattern", "AA", *flags)
+        assert (code, out) == (2, "")
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestSplitted:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avoidance import patterns
 from avoidance.patterns import (
     Occurrence,
     Pattern,
@@ -15,6 +16,7 @@ from avoidance.patterns import (
     find_splitted_factor,
     is_doubled,
     is_n_splitted,
+    map_workers,
     pattern_contains_doubled,
     reverse,
     splitted_to_pattern,
@@ -203,6 +205,56 @@ def test_enumerate_remaining_parallel_matches_serial():
     serial = enumerate_remaining(4, workers=1)
     parallel = enumerate_remaining(4, workers=2)
     assert [str(p) for p in serial] == [str(p) for p in parallel]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in-process, so no process is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, n_jobs, size", [
+    (1000, 4, 10, 4),
+    (3, 4, 10, 3),
+    (1000, 4, 2, 2),
+    (2, None, 10, None),  # unknown cpu count counts as one: no pool
+    (8, 4, 1, None),
+    (1, 4, 10, None),
+])
+def test_map_workers_pool_size(monkeypatch, workers, cpus, n_jobs, size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(patterns, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
+    jobs = list(range(n_jobs))
+    assert list(map_workers(abs, jobs, workers)) == jobs
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_map_workers_rejects_non_positive_workers(workers):
+    with pytest.raises(ValueError):
+        map_workers(abs, [1, 2], workers)
+
+
+def test_map_workers_in_process_is_lazy():
+    seen = []
+    results = map_workers(seen.append, [1, 2, 3])
+    assert seen == []
+    next(iter(results))
+    assert seen == [1]
 
 
 def test_enumerate_remaining_rejects_other_sizes():

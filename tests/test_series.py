@@ -16,6 +16,7 @@ from avoidance.series import (
     SeriesSpec,
     certify_threeavoidable,
     check_bound_against_counts,
+    distinct_prefix_len,
     evaluate,
     smallest_positive_root,
     spec_full,
@@ -77,6 +78,11 @@ class TestSpecPrefix:
     def test_rejects_once_occurring_prefix_variable(self):
         with pytest.raises(ValueError):
             spec_prefix("ABCC", 3, 2)  # B never recurs
+
+    @pytest.mark.parametrize("p, k", [("A", 1), ("AA", 1), ("ABAB", 2),
+                                      ("ABCDABCD", 4), ("ABCADBDC", 3)])
+    def test_distinct_prefix_len(self, p, k):
+        assert distinct_prefix_len(p) == k
 
 
 class TestEvaluate:
