@@ -17,6 +17,7 @@ patterns.map_workers; reports and counts are the same for any worker count.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -73,6 +74,7 @@ class VerificationReport:
     passed: bool
     counterexample: Optional[tuple[Word, Occurrence]]
     windows_searched: int  # distinct preimage suffixes searched to the verdict
+    effective_cap: int  # min(image_cap, max_preimage_len * q): no window is longer
 
 
 def parse_morphism(text: str) -> Morphism:
@@ -167,18 +169,19 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
         first.setdefault(w[-tail:], (checked, w))
     keys = list(first)
     jobs = [(entry.pattern, entry.morphism, key, cap) for key in keys]
-    hits = map_workers(_search_window, jobs, workers)
-    searched = 0
-    for searched, (key, rel) in enumerate(zip(keys, hits), 1):
-        if rel is not None:
-            index, w = first[key]
-            occ = Occurrence(rel.start + (len(w) - len(key)) * q, rel.images)
-            return VerificationReport(entry.pattern, entry.morphism_id,
-                                      max_preimage_len, cap, index, False,
-                                      (w, occ), searched)
+    effective = min(cap, max_preimage_len * q)
+    with closing(map_workers(_search_window, jobs, workers)) as hits:
+        searched = 0
+        for searched, (key, rel) in enumerate(zip(keys, hits), 1):
+            if rel is not None:
+                index, w = first[key]
+                occ = Occurrence(rel.start + (len(w) - len(key)) * q, rel.images)
+                return VerificationReport(entry.pattern, entry.morphism_id,
+                                          max_preimage_len, cap, index, False,
+                                          (w, occ), searched, effective)
     return VerificationReport(entry.pattern, entry.morphism_id,
                               max_preimage_len, cap, checked, True, None,
-                              searched)
+                              searched, effective)
 
 
 def _search_window(job) -> Optional[Occurrence]:

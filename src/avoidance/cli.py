@@ -115,6 +115,7 @@ def cmd_ae(args) -> int:
 def _report_json(rep: certify.VerificationReport) -> dict:
     out = {"pattern": str(rep.pattern), "morphism_id": rep.morphism_id,
            "max_preimage_len": rep.max_preimage_len, "image_cap": rep.image_cap,
+           "effective_cap": rep.effective_cap,
            "preimages_checked": rep.preimages_checked,
            "windows_searched": rep.windows_searched, "passed": rep.passed,
            "counterexample": None}
@@ -125,7 +126,7 @@ def _report_json(rep: certify.VerificationReport) -> dict:
 
 
 def _report_text(rep: certify.VerificationReport) -> str:
-    head = (f"{rep.pattern} len<={rep.max_preimage_len} cap={rep.image_cap} "
+    head = (f"{rep.pattern} len<={rep.max_preimage_len} cap={rep.effective_cap} "
             f"preimages={rep.preimages_checked}")
     if rep.passed:
         return f"{head} pass"

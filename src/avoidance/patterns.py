@@ -5,6 +5,16 @@ An occurrence of a pattern p in a word w is a non-erasing morphism h
 (variable -> non-empty word) with h(p) a factor of w. The search here is
 exhaustive backtracking and doubles as a decision procedure; enumeration
 reproduces the sporadic candidate lists up to reversal symmetry.
+
+The backtracking tries image lengths in increasing order and prunes with
+where each variable must occur again: the image of a variable that recurs
+in p has to reappear in w past the least length of the pattern letters in
+between. In a doubled pattern every variable recurs, so image lengths are
+bounded by the repeats of the host word, which are short in the images of
+(5/4+)-free words that the corpus morphisms produce. A search restricted
+to occurrences ending at the end of the word (min_end = |w|, every
+extension test of avoider counting) first matches the mirrored pattern at
+the start of the mirrored word and stops there if that fails.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import string
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .words import DISPLAY
 
@@ -40,10 +50,12 @@ class Pattern(str):
         return self == canonicalize(self)
 
 
-def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterable:
-    """fn over jobs, results in job order: a lazy in-process map when one
-    process suffices (a caller that stops early skips the rest), else a
-    process pool of min(workers, cpu count, number of jobs).
+def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterator:
+    """fn over jobs, results lazily in job order: in-process when one
+    process suffices, else from a process pool of min(workers, cpu count,
+    number of jobs). A caller that stops early skips the rest: in-process
+    the rest never runs, and closing the iterator (or dropping it) shuts
+    the pool down with its pending jobs cancelled.
 
     fn must be a module-level function so the pool can pickle it.
     """
@@ -51,10 +63,18 @@ def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterable:
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = list(jobs)
     size = min(workers, os.cpu_count() or 1, len(jobs))
+    return _lazy_map(fn, jobs, size)
+
+
+def _lazy_map(fn: Callable, jobs: list, size: int) -> Iterator:
     if size <= 1:
-        return map(fn, jobs)
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, jobs))
+        yield from map(fn, jobs)
+        return
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        yield from pool.map(fn, jobs)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -100,59 +120,98 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
     length in increasing order, with immediate mismatch pruning for bound
     variables and a remaining-minimum-length prune.
 
+    Two prunes cut only lengths and calls that cannot match, so the first
+    occurrence is the same as without them:
+
+    - recurrence: a variable that occurs again later in p needs its image
+      to occur again at least `gap` letters past its end, `gap` being the
+      least length of the pattern letters in between; once a length fails
+      that, every longer one does, and the binding loop stops;
+    - suffix mirror: when min_end >= len(w) an occurrence must end at the
+      end of w, so the reversed pattern is first matched at position 0 of
+      the reversed word, and the forward search runs only if that succeeds.
+
     max_image_total caps |h(p)| (default |w|). min_end keeps only
     occurrences ending at position >= min_end; incremental callers use it
-    to skip the already-searched prefix of w.
+    to skip the already-searched prefix of w. The recursion depth is the
+    number of distinct variables, at most 26 for a Pattern, whatever |p|.
     """
     n = len(w)
     plen = len(p)
     budget = n if max_image_total is None or max_image_total > n else max_image_total
-    if plen == 0 or budget < plen or n < plen:
+    if plen == 0 or budget < plen or n < plen or min_end > n:
         return None
+    if min_end == n:
+        mirror, _, _ = _matcher(p[::-1], w[::-1], 0)
+        if mirror(0, 0, budget) < 0:
+            return None
+    match, images, order = _matcher(p, w, min_end)
+    for start in range(max(0, min_end - budget), n - plen + 1):
+        end = match(0, start, min(n, start + budget))
+        if end >= 0:
+            occ = Occurrence(start, dict(zip(order, images)))
+            # paranoia costs little next to the search itself
+            assert occ.substitute(p) == w[start:end]
+            return occ
+    return None
 
-    order = sorted(set(p), key=p.index)
+
+@lru_cache(maxsize=64)
+def _variables(p: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    # the variables in order of first appearance, and p as their indices
+    order = tuple(sorted(set(p), key=p.index))
     index = {c: i for i, c in enumerate(order)}
-    pvars = [index[c] for c in p]
-    nvars = len(order)
-    images: list[Optional[str]] = [None] * nvars
+    return order, tuple(index[c] for c in p)
+
+
+def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
+    """match(t, pos, limit) -> end of an occurrence of p[t:] at pos within
+    w[:limit] (ending at >= min_end), or -1, with the images it bound left
+    in the returned list, indexed like the returned variables (in order of
+    first appearance); on -1 the images bound by the call are reset."""
+    order, pvars = _variables(p)
+    plen = len(pvars)
+    images: list[Optional[str]] = [None] * len(order)
+    find = w.find
+    startswith = w.startswith
 
     def match(t: int, pos: int, limit: int) -> int:
-        if t == plen:
-            return pos if pos >= min_end else -1
-        v = pvars[t]
-        img = images[v]
-        if img is not None:
-            if pos + len(img) > limit or not w.startswith(img, pos):
+        # bound variables need no choice: check them without recursing
+        while t < plen:
+            v = pvars[t]
+            img = images[v]
+            if img is None:
+                break
+            if not startswith(img, pos, limit):
                 return -1
-            return match(t + 1, pos + len(img), limit)
-        rest = 0
-        same = 0
+            pos += len(img)
+            t += 1
+        else:
+            return pos if pos >= min_end else -1
+        # least length of the letters after t other than v, and of those
+        # before the next v (gap), unbound variables counting one letter
+        rest = same = gap = 0
         for u in pvars[t + 1:]:
             if u == v:
+                if not same:
+                    gap = rest
                 same += 1
             else:
                 other = images[u]
                 rest += 1 if other is None else len(other)
         lmax = (limit - pos - rest) // (1 + same)
         for l in range(1, lmax + 1):
-            images[v] = w[pos:pos + l]
+            img = w[pos:pos + l]
+            if same and find(img, pos + l + gap, limit) < 0:
+                break
+            images[v] = img
             end = match(t + 1, pos + l, limit)
             if end >= 0:
                 return end
-            images[v] = None
         images[v] = None
         return -1
 
-    for start in range(max(0, min_end - budget), n - plen + 1):
-        for i in range(nvars):
-            images[i] = None
-        end = match(0, start, min(n, start + budget))
-        if end >= 0:
-            occ = Occurrence(start, {order[i]: images[i] for i in range(nvars)})
-            # paranoia costs little next to the search itself
-            assert occ.substitute(p) == w[start:end]
-            return occ
-    return None
+    return match, images, order
 
 
 @lru_cache(maxsize=32)

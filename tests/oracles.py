@@ -75,6 +75,34 @@ def brute_occurrence(p: str, w: str) -> bool:
     return False
 
 
+def brute_first_occurrence(p: str, w: str, cap=None, min_end: int = 0):
+    """The first occurrence as (start, images), or None: the least start,
+    then the least tuple of image lengths with the variables in order of
+    first appearance, among occurrences with total image length <= cap
+    (default unbounded) that end at position >= min_end."""
+    variables = sorted(set(p), key=p.index)
+    n = len(w)
+    for start in range(n):
+        # itertools.product runs through the length tuples in lex order
+        ranges = [range(1, n - start + 1) for _ in variables]
+        for combo in itertools.product(*ranges):
+            lengths = dict(zip(variables, combo))
+            total = sum(lengths[v] for v in p)
+            end = start + total
+            if end > n or end < min_end or (cap is not None and total > cap):
+                continue
+            images: dict[str, str] = {}
+            pos = start
+            for v in p:
+                seg = w[pos : pos + lengths[v]]
+                if images.setdefault(v, seg) != seg:
+                    break
+                pos += lengths[v]
+            else:
+                return start, images
+    return None
+
+
 def truncated_series_value(m: int, terms, x: float, n_terms: int = 60) -> float:
     """1 - m*x + sum a_i x^i with the a_i obtained by convolving the
     geometric series of each term, truncated at degree n_terms."""

@@ -132,6 +132,10 @@ class TestVerifyEntry:
         assert isinstance(rep, VerificationReport)
         assert (rep.max_preimage_len, rep.image_cap) == (2, 20)
         assert rep.passed
+        assert rep.effective_cap == 20
+        # no window is longer than two blocks of q = 17 letters
+        wide = verify_entry(e, max_preimage_len=2, image_cap=100000)
+        assert (wide.image_cap, wide.effective_cap) == (100000, 34)
 
     def test_parallel_matches_serial(self):
         e = corpus()[0]
@@ -154,6 +158,30 @@ class TestVerifyEntry:
         preimage, _ = a.counterexample
         assert preimage == first_use
         assert a.preimages_checked == len(first_use)
+
+    def test_pool_cancels_the_windows_after_the_first_hit(
+            self, monkeypatch, recording_pools):
+        from avoidance import patterns
+
+        monkeypatch.setattr(patterns.os, "cpu_count", lambda: 2)
+        e = corpus()[0]
+        images = list(e.morphism.images)
+        images[2] = "0" * e.morphism.uniform_len
+        bad = CorpusEntry(e.pattern, Morphism(tuple(images)), e.ae)
+        serial = verify_entry(bad)
+        assert recording_pools == []
+        assert verify_entry(bad, workers=2) == serial
+        (pool,) = recording_pools
+        windows = 85  # free words of length <= 3: the windows at cap 2q
+        assert len(pool.cancelled) == windows - serial.windows_searched > 0
+
+    def test_all_entries_pass_at_three_times_the_uniform_length(self):
+        # the 2q gate of the acceptance suite, at a larger cap
+        for e in corpus():
+            cap = 3 * e.morphism.uniform_len
+            rep = verify_entry(e, image_cap=cap)
+            assert rep.passed, (str(e.pattern), rep.counterexample)
+            assert (rep.preimages_checked, rep.effective_cap) == (805, cap)
 
     def test_windows_searched_stops_growing_at_window_length(self):
         # at the default cap 2q the window is 3 letters, so preimages longer

@@ -44,6 +44,14 @@ class TestOcc:
         _, out, _ = run(capsys, "occ", "AA", "0102010", "--json")
         assert json.loads(out)["occurrence"] is None
 
+    def test_long_pattern_is_answered_without_recursion_error(self, capsys):
+        # 1200 pattern letters: the matcher recurses per variable, not per letter
+        pattern = "AB" * 600
+        code, out, err = run(capsys, "occ", pattern, "01" * 700)
+        assert (code, out) == (0, "start=0 A=0 B=1\n")
+        code, out, err = run(capsys, "occ", pattern, "01" * 350 + "1" + "01" * 350)
+        assert (code, out, err) == (0, "none\n", "")
+
     def test_malformed_pattern(self, capsys):
         code, _, err = run(capsys, "occ", "A1", "01")
         assert code == 2
@@ -155,6 +163,17 @@ class TestVerify:
         )
         assert code == 0
         assert out == "ABACBDCD len<=2 cap=34 preimages=25 pass\n"
+
+    def test_cap_states_what_was_searched(self, capsys):
+        # two-block preimages of a q=17 morphism give windows of 34 letters
+        argv = ("verify", "--entry", "ABACBDCD", "--max-preimage-len", "2",
+                "--image-cap", "100000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "ABACBDCD len<=2 cap=34 preimages=25 pass\n"
+        _, out, _ = run(capsys, *argv, "--json")
+        (report,) = json.loads(out)
+        assert (report["image_cap"], report["effective_cap"]) == (100000, 34)
 
     def test_unknown_entry(self, capsys):
         code, _, err = run(capsys, "verify", "--entry", "NOPE")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidance import patterns
@@ -136,6 +136,21 @@ def test_occurrence_agrees_with_brute_oracle(p, w):
         assert all(got.images[v] for v in set(str(p)))
 
 
+@settings(max_examples=400)
+@given(st.text(alphabet="ABC", min_size=1, max_size=5),
+       st.text(alphabet="01", min_size=0, max_size=9), st.data())
+def test_occurrence_is_the_first_one_of_the_brute_oracle(raw, w, data):
+    # doubled and non-doubled patterns; min_end = len(w) is the suffix
+    # mirror path, min_end > len(w) admits nothing
+    p = canonicalize(raw)
+    cap = data.draw(st.one_of(st.none(), st.integers(0, len(w) + 1)))
+    min_end = data.draw(st.one_of(st.just(len(w)),
+                                  st.integers(0, len(w) + 1)))
+    got = find_occurrence(p, w, cap, min_end)
+    want = oracles.brute_first_occurrence(str(p), w, cap, min_end)
+    assert (None if got is None else (got.start, got.images)) == want
+
+
 def test_doubled_patterns_upto_ordering_and_membership():
     ps = doubled_patterns_upto(4, 8)
     assert [str(p) for p in ps[:4]] == ["AA", "AAA", "AAAA", "AABB"]
@@ -207,25 +222,6 @@ def test_enumerate_remaining_parallel_matches_serial():
     assert [str(p) for p in serial] == [str(p) for p in parallel]
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and maps in-process, so no process is ever started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
 @pytest.mark.parametrize("workers, cpus, n_jobs, size", [
     (1000, 4, 10, 4),
     (3, 4, 10, 3),
@@ -234,13 +230,25 @@ class _RecordingPool:
     (8, 4, 1, None),
     (1, 4, 10, None),
 ])
-def test_map_workers_pool_size(monkeypatch, workers, cpus, n_jobs, size):
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(patterns, "ProcessPoolExecutor", _RecordingPool)
+def test_map_workers_pool_size(monkeypatch, recording_pools, workers, cpus,
+                               n_jobs, size):
     monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
     jobs = list(range(n_jobs))
     assert list(map_workers(abs, jobs, workers)) == jobs
-    assert _RecordingPool.sizes == ([] if size is None else [size])
+    assert [p.max_workers for p in recording_pools] == \
+        ([] if size is None else [size])
+    assert all(p.cancelled == [] for p in recording_pools)
+
+
+def test_map_workers_cancels_pending_jobs_when_the_consumer_stops(
+        monkeypatch, recording_pools):
+    monkeypatch.setattr(patterns.os, "cpu_count", lambda: 2)
+    results = map_workers(abs, [-1, -2, -3, -4], 2)
+    assert recording_pools == []  # nothing starts before the first result
+    assert next(results) == 1
+    results.close()
+    (pool,) = recording_pools
+    assert pool.cancelled == [-2, -3, -4]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
