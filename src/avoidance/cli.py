@@ -64,6 +64,10 @@ def _root_json(res: series.RootResult) -> dict:
 def cmd_series(args) -> int:
     p = patterns.Pattern(args.pattern)
     if args.strategy == "certify":
+        if args.alphabet not in (None, 3):
+            raise SystemExit2("--strategy certify works over 3 letters only; "
+                              "use --strategy full or prefix for "
+                              f"--alphabet {args.alphabet}")
         report = series.certify_threeavoidable(p)
         if args.json:
             out = {"pattern": str(p), "conclusive": report.conclusive,
@@ -81,13 +85,14 @@ def cmd_series(args) -> int:
             print(f"conclusive via {report.best.strategy}" if report.conclusive
                   else "inconclusive")
         return 0 if report.conclusive else 1
+    m = 3 if args.alphabet is None else args.alphabet
     if args.strategy == "full":
-        spec = series.spec_full(p, args.alphabet)
+        spec = series.spec_full(p, m)
     else:
         k = args.prefix_len
         if k is None:
             k = series.distinct_prefix_len(p)
-        spec = series.spec_prefix(p, args.alphabet, k)
+        spec = series.spec_prefix(p, m, k)
     res = series.smallest_positive_root(spec)
     if args.json:
         print(json.dumps({"pattern": str(p), "strategy": args.strategy,
@@ -225,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("series", cmd_series, help="growth certificate via P(x) roots")
     sp.add_argument("--pattern", required=True)
-    sp.add_argument("--alphabet", type=int, default=3)
+    sp.add_argument("--alphabet", type=int, default=None,
+                    help="alphabet size (default 3, the only one certify "
+                         "accepts)")
     sp.add_argument("--strategy", choices=("full", "prefix", "certify"),
                     default="certify")
     sp.add_argument("--prefix-len", type=int, default=None,

@@ -34,6 +34,10 @@ VARS = string.ascii_uppercase
 class Pattern(str):
     """A non-empty word over the variable alphabet A-Z."""
 
+    # no per-instance __dict__: the enumeration caches hold tens of
+    # thousands of patterns
+    __slots__ = ()
+
     def __new__(cls, text: str) -> "Pattern":
         if not text:
             raise ValueError("pattern must be non-empty")

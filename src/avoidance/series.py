@@ -6,12 +6,19 @@ words of each length i, hence exponential growth 1/x0. Two ways of reading
 a doubled pattern yield specs: counting every variable freely ("full"), or
 treating the variables of an all-distinct prefix as determined by the rest
 ("prefix").
+
+The first root is located on a grid of step SCAN_STEP, evaluated in one
+numpy pass, and then bisected to a bracket of BRACKET_WIDTH.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .patterns import Pattern, is_doubled
 
@@ -25,12 +32,14 @@ class SeriesSpec:
     terms: tuple[tuple[int, int], ...]  # (c_j, w_j), c_j >= 1, w_j >= 1
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"alphabet size m={self.m} must be at least 1")
         if not self.terms:
             raise ValueError("spec needs at least one term")
         if any(c < 1 or w < 1 for c, w in self.terms):
             raise ValueError(f"bad term in {self.terms}")
 
-    @property
+    @cached_property
     def pole_radius(self) -> float:
         return min(c ** (-1.0 / w) for c, w in self.terms)
 
@@ -76,6 +85,8 @@ def spec_prefix(p: str, m: int, k: int) -> SeriesSpec:
     the remaining variables stay free with (m, occ)."""
     if not is_doubled(p):
         raise ValueError(f"{p} is not doubled")
+    if k < 1:
+        raise ValueError(f"prefix length k={k} must be at least 1")
     head = p[:k]
     if len(head) < k or len(set(head)) != k:
         raise ValueError(f"first {k} symbols of {p} are not distinct")
@@ -90,10 +101,8 @@ def spec_prefix(p: str, m: int, k: int) -> SeriesSpec:
     return SeriesSpec(m, tuple(terms))
 
 
-def evaluate(spec: SeriesSpec, x: float) -> float:
-    """Closed-form P(x); defined on [0, pole_radius)."""
-    if x < 0 or x >= spec.pole_radius:
-        raise ValueError(f"x={x} outside [0, {spec.pole_radius})")
+def _closed_form(spec: SeriesSpec, x):
+    """P at x, a float or an array of points inside the domain."""
     prod = 1.0
     for c, w in spec.terms:
         t = c * x ** w
@@ -101,34 +110,45 @@ def evaluate(spec: SeriesSpec, x: float) -> float:
     return 1.0 - spec.m * x + prod
 
 
-def smallest_positive_root(spec: SeriesSpec) -> RootResult:
-    """Scan (0, pole_radius) for the first sign change of P, then bisect.
+def evaluate(spec: SeriesSpec, x: float) -> float:
+    """Closed-form P(x); defined on [0, pole_radius)."""
+    if x < 0 or x >= spec.pole_radius:
+        raise ValueError(f"x={x} outside [0, {spec.pole_radius})")
+    return _closed_form(spec, x)
 
-    The scan step is fine enough for every spec arising here (the roots
-    are simple and well separated from 0); absent a sign change, the scan
-    minimum is reported so a near-miss is visible.
+
+def smallest_positive_root(spec: SeriesSpec) -> RootResult:
+    """Find the first grid point of (0, pole_radius) where P <= 0, then
+    bisect between it and the point before.
+
+    P is evaluated on the whole grid SCAN_STEP, 2*SCAN_STEP, ... in one
+    numpy pass; the grid is a running sum, so its points are the floats of
+    repeated ``x += SCAN_STEP``. The step is fine enough for every spec
+    arising here (the roots are simple and well separated from 0). scan_min
+    is the least value of P on the grid up to the first root, or on the
+    whole grid when there is none, so a near-miss is visible; P(0) = 1
+    caps it at 1.
     """
     hi = spec.pole_radius
-    prev = 0.0
-    scan_min = 1.0  # P(0) = 1
-    x = SCAN_STEP
-    while x < hi:
-        v = evaluate(spec, x)
-        if v < scan_min:
-            scan_min = v
-        if v <= 0.0:
-            lo, hi2 = prev, x
-            while hi2 - lo > BRACKET_WIDTH:
-                mid = (lo + hi2) / 2
-                if evaluate(spec, mid) <= 0.0:
-                    hi2 = mid
-                else:
-                    lo = mid
-            root = (lo + hi2) / 2
-            return RootResult(root, 1.0 / root, hi2 - lo, scan_min)
-        prev = x
-        x += SCAN_STEP
-    return RootResult(None, None, None, scan_min)
+    # two spare points absorb the rounding of the running sum; the cut
+    # keeps exactly the points below the pole
+    xs = np.cumsum(np.full(int(hi / SCAN_STEP) + 2, SCAN_STEP))
+    xs = xs[xs < hi]
+    vs = _closed_form(spec, xs)
+    hits = np.flatnonzero(vs <= 0.0)
+    if not hits.size:
+        return RootResult(None, None, None, float(vs.min(initial=1.0)))
+    i = int(hits[0])
+    scan_min = float(vs[:i + 1].min())  # at most vs[i] <= 0
+    lo, hi2 = (float(xs[i - 1]) if i else 0.0), float(xs[i])
+    while hi2 - lo > BRACKET_WIDTH:
+        mid = (lo + hi2) / 2
+        if evaluate(spec, mid) <= 0.0:
+            hi2 = mid
+        else:
+            lo = mid
+    root = (lo + hi2) / 2
+    return RootResult(root, 1.0 / root, hi2 - lo, scan_min)
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,9 @@ def certify_threeavoidable(p: str) -> CertificationReport:
     pat = Pattern(p)
     attempts = [Attempt("full", *_try(spec_full(pat, 3)))]
     for k in range(2, distinct_prefix_len(pat) + 1):
-        attempts.append(Attempt(f"prefix{k}", *_try(spec_prefix(pat, 3, k))))
+        # one string per strategy name, however many reports a caller keeps
+        name = sys.intern(f"prefix{k}")
+        attempts.append(Attempt(name, *_try(spec_prefix(pat, 3, k))))
     return CertificationReport(pat, tuple(attempts))
 
 

@@ -130,6 +130,34 @@ def truncated_series_value(m: int, terms, x: float, n_terms: int = 60) -> float:
     return acc
 
 
+def scan_first_root(evaluate, spec, step: float = 1e-4,
+                    width: float = 1e-12):
+    """The scalar root scan: walk x = step, 2*step, ... below the pole one
+    ``evaluate`` call at a time, and bisect the first sign change down to
+    ``width``. Returns (root, bracket, scan_min); root and bracket are None
+    when P stays positive on the grid."""
+    hi = spec.pole_radius
+    prev = 0.0
+    scan_min = 1.0  # P(0) = 1
+    x = step
+    while x < hi:
+        v = evaluate(spec, x)
+        if v < scan_min:
+            scan_min = v
+        if v <= 0.0:
+            lo, hi2 = prev, x
+            while hi2 - lo > width:
+                mid = (lo + hi2) / 2
+                if evaluate(spec, mid) <= 0.0:
+                    hi2 = mid
+                else:
+                    lo = mid
+            return (lo + hi2) / 2, hi2 - lo, scan_min
+        prev = x
+        x += step
+    return None, None, scan_min
+
+
 def charpoly(mat) -> list[int]:
     """Integer coefficients of det(lambda*I - M), highest degree first,
     by cofactor expansion over polynomial entries."""

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avoidance import cli
 
@@ -135,6 +140,72 @@ class TestSeries:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_certify_rejects_other_alphabets(self, capsys):
+        code, out, err = run(capsys, "series", "--pattern", "AA",
+                             "--alphabet", "7")
+        assert (code, out) == (2, "")
+        assert "error:" in err and "3 letters" in err
+        # over 7 letters the full strategy has the root that certify missed
+        code, out, _ = run(capsys, "series", "--pattern", "AA",
+                           "--alphabet", "7", "--strategy", "full")
+        assert (code, out) == (0, "root=0.193842 growth=5.158834\n")
+
+    def test_alphabet_defaults_to_three(self, capsys):
+        for strategy in ("full", "certify"):
+            default = run(capsys, "series", "--pattern", "AAABBCCDD",
+                          "--strategy", strategy)
+            explicit = run(capsys, "series", "--pattern", "AAABBCCDD",
+                           "--strategy", strategy, "--alphabet", "3")
+            assert default == explicit
+            assert default[0] == 0
+
+    @pytest.mark.parametrize("alphabet", ["0", "-4"])
+    def test_alphabet_below_one_is_usage_error(self, capsys, alphabet):
+        code, out, err = run(capsys, "series", "--pattern", "ABAB",
+                             "--strategy", "prefix", "--prefix-len", "2",
+                             "--alphabet", alphabet)
+        assert (code, out) == (2, "")
+        assert "error:" in err
+
+    def test_prefix_len_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "series", "--pattern", "AABB",
+                             "--strategy", "prefix", "--prefix-len", "0")
+        assert (code, out) == (2, "")
+        assert "error:" in err
+
+
+def _run_quiet(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run; hypothesis reruns a
+    test body without resetting capsys, so output is captured here."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    return code, err.getvalue()
+
+
+@given(
+    pattern=st.one_of(
+        st.text(alphabet="ABCD", min_size=1, max_size=10),
+        st.text(alphabet=string.ascii_uppercase + "a1-_ ", max_size=10),
+    ),
+    alphabet=st.none() | st.integers(-5, 30),
+    strategy=st.none() | st.sampled_from(["full", "prefix", "certify"]),
+    prefix_len=st.none() | st.integers(-2, 6),
+)
+def test_series_exit_codes(pattern, alphabet, strategy, prefix_len):
+    argv = ["series", "--pattern", pattern]
+    for flag, value in (("--alphabet", alphabet), ("--strategy", strategy),
+                        ("--prefix-len", prefix_len)):
+        if value is not None:
+            argv += [flag, str(value)]
+    code, err = _run_quiet(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 class TestAE:

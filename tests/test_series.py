@@ -7,12 +7,16 @@ by independent analysis of the numerator polynomials.
 
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from avoidance.patterns import Pattern
+from avoidance.patterns import Pattern, doubled_patterns_upto
 from avoidance.series import (
     BRACKET_WIDTH,
+    SCAN_STEP,
     SeriesSpec,
     certify_threeavoidable,
     check_bound_against_counts,
@@ -34,6 +38,14 @@ class TestSeriesSpec:
             SeriesSpec(m=3, terms=((3, 0),))
         with pytest.raises(ValueError):
             SeriesSpec(m=3, terms=())
+
+    @pytest.mark.parametrize("m", [0, -4])
+    def test_rejects_alphabet_below_one(self, m):
+        # the terms alone are valid here, so only m can be at fault
+        with pytest.raises(ValueError, match="alphabet"):
+            SeriesSpec(m=m, terms=((1, 1), (1, 1)))
+        with pytest.raises(ValueError, match="alphabet"):
+            spec_prefix("ABAB", m, 2)
 
     def test_pole_radius(self):
         spec = SeriesSpec(m=3, terms=((3, 2),))
@@ -74,6 +86,11 @@ class TestSpecPrefix:
     def test_rejects_repeated_prefix(self):
         with pytest.raises(ValueError):
             spec_prefix("ABACBDCEDE", 3, 3)  # prefix ABA repeats A
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_prefix_length_below_one(self, k):
+        with pytest.raises(ValueError, match="prefix length"):
+            spec_prefix("AABB", 3, k)
 
     def test_rejects_once_occurring_prefix_variable(self):
         with pytest.raises(ValueError):
@@ -180,6 +197,62 @@ class TestSmallestPositiveRoot:
             - 108 * x**6 + 243 * x**8 + 162 * x**9 - 243 * x**10
         )
         assert abs(value) < 1e-9
+
+
+def _pattern_specs() -> set[SeriesSpec]:
+    """Every distinct full and prefix spec over three letters of the
+    canonical doubled patterns with at most 5 variables and length at
+    most 10."""
+    specs = set()
+    for p in doubled_patterns_upto(5, 10):
+        specs.add(spec_full(p, 3))
+        for k in range(1, distinct_prefix_len(p) + 1):
+            specs.add(spec_prefix(p, 3, k))
+    return specs
+
+
+def _assert_scan_matches_oracle(spec: SeriesSpec) -> None:
+    # the grid pass also evaluates P past the first root, where the scalar
+    # loop never went; no point there may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = smallest_positive_root(spec)
+    root, bracket, scan_min = oracles.scan_first_root(
+        evaluate, spec, SCAN_STEP, BRACKET_WIDTH)
+    assert got.found == (root is not None)
+    if got.found:
+        assert abs(got.root - root) <= 1e-12
+        assert got.bracket <= BRACKET_WIDTH
+    assert abs(got.scan_min - scan_min) <= 1e-15
+
+
+class TestScanMatchesScalarOracle:
+    def test_on_every_pattern_spec(self):
+        specs = _pattern_specs()
+        assert len(specs) >= 235
+        for spec in specs:
+            _assert_scan_matches_oracle(spec)
+
+    @given(
+        m=st.integers(1, 7),
+        terms=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 6)),
+                       min_size=1, max_size=5),
+    )
+    def test_on_random_specs(self, m, terms):
+        _assert_scan_matches_oracle(SeriesSpec(m=m, terms=tuple(terms)))
+
+    def test_root_inside_the_first_step(self):
+        # bisection starts from 0 when the first grid point is past the root
+        spec = SeriesSpec(m=20000, terms=((1, 1), (1, 1)))
+        _assert_scan_matches_oracle(spec)
+        assert smallest_positive_root(spec).root < SCAN_STEP
+
+    def test_pole_inside_the_first_step_gives_an_empty_scan(self):
+        spec = SeriesSpec(m=3, terms=((20000, 1),))
+        assert spec.pole_radius < SCAN_STEP
+        r = smallest_positive_root(spec)
+        assert (r.found, r.scan_min) == (False, 1.0)
+        assert oracles.scan_first_root(evaluate, spec) == (None, None, 1.0)
 
 
 def _random_spec_pair(rng: random.Random) -> tuple[SeriesSpec, SeriesSpec]:
