@@ -16,10 +16,6 @@ import sys
 from . import certify, patterns, series, spectral, words
 
 
-class SystemExit2(Exception):
-    """Usage-level error discovered after argparse."""
-
-
 def _real(x: float) -> str:
     return f"{x:.6f}"
 
@@ -33,27 +29,23 @@ def _occurrence_text(occ: patterns.Occurrence) -> str:
     return f"start={occ.start} {imgs}"
 
 
-def cmd_occ(args) -> int:
+# Each cmd_* returns (json document, text lines, exit code); main prints
+# the rendering that --json asks for.
+
+
+def cmd_occ(args):
     p = patterns.Pattern(args.pattern)
     w = words.Word(args.word)
     occ = patterns.find_occurrence(p, w, args.cap)
-    if args.json:
-        out = {"pattern": str(p), "word": str(w),
-               "occurrence": _occurrence_json(occ) if occ else None}
-        print(json.dumps(out))
-    else:
-        print(_occurrence_text(occ) if occ else "none")
-    return 0
+    doc = {"pattern": str(p), "word": str(w),
+           "occurrence": _occurrence_json(occ) if occ else None}
+    return doc, [_occurrence_text(occ) if occ else "none"], 0
 
 
-def cmd_enumerate(args) -> int:
-    remaining = patterns.enumerate_remaining(args.vars, workers=args.workers)
-    if args.json:
-        print(json.dumps([str(p) for p in remaining]))
-    else:
-        for p in remaining:
-            print(p)
-    return 0
+def cmd_enumerate(args):
+    remaining = [str(p) for p in
+                 patterns.enumerate_remaining(args.vars, workers=args.workers)]
+    return remaining, remaining, 0
 
 
 def _root_json(res: series.RootResult) -> dict:
@@ -61,30 +53,30 @@ def _root_json(res: series.RootResult) -> dict:
             "bracket": res.bracket, "scan_min": res.scan_min}
 
 
-def cmd_series(args) -> int:
+def _root_text(res: series.RootResult) -> str:
+    if res.found:
+        return f"root={_real(res.root)} growth={_real(res.growth)}"
+    return f"root=absent scan_min={_real(res.scan_min)}"
+
+
+def cmd_series(args):
     p = patterns.Pattern(args.pattern)
     if args.strategy == "certify":
         if args.alphabet not in (None, 3):
-            raise SystemExit2("--strategy certify works over 3 letters only; "
-                              "use --strategy full or prefix for "
-                              f"--alphabet {args.alphabet}")
+            raise ValueError("--strategy certify works over 3 letters only; "
+                             "use --strategy full or prefix for "
+                             f"--alphabet {args.alphabet}")
         report = series.certify_threeavoidable(p)
-        if args.json:
-            out = {"pattern": str(p), "conclusive": report.conclusive,
-                   "attempts": [{"strategy": a.strategy,
-                                 "terms": list(map(list, a.spec.terms)),
-                                 **_root_json(a.result)}
-                                for a in report.attempts]}
-            print(json.dumps(out))
-        else:
-            for a in report.attempts:
-                print(f"{a.strategy}: " + (
-                    f"root={_real(a.result.root)} growth={_real(a.result.growth)}"
-                    if a.result.found else
-                    f"root=absent scan_min={_real(a.result.scan_min)}"))
-            print(f"conclusive via {report.best.strategy}" if report.conclusive
-                  else "inconclusive")
-        return 0 if report.conclusive else 1
+        doc = {"pattern": str(p), "conclusive": report.conclusive,
+               "attempts": [{"strategy": a.strategy,
+                             "terms": list(map(list, a.spec.terms)),
+                             **_root_json(a.result)}
+                            for a in report.attempts]}
+        lines = [f"{a.strategy}: {_root_text(a.result)}"
+                 for a in report.attempts]
+        lines.append(f"conclusive via {report.best.strategy}"
+                     if report.conclusive else "inconclusive")
+        return doc, lines, 0 if report.conclusive else 1
     m = 3 if args.alphabet is None else args.alphabet
     if args.strategy == "full":
         spec = series.spec_full(p, m)
@@ -94,27 +86,16 @@ def cmd_series(args) -> int:
             k = series.distinct_prefix_len(p)
         spec = series.spec_prefix(p, m, k)
     res = series.smallest_positive_root(spec)
-    if args.json:
-        print(json.dumps({"pattern": str(p), "strategy": args.strategy,
-                          "terms": list(map(list, spec.terms)),
-                          **_root_json(res)}))
-    elif res.found:
-        print(f"root={_real(res.root)} growth={_real(res.growth)}")
-    else:
-        print(f"root=absent scan_min={_real(res.scan_min)}")
-    return 0
+    doc = {"pattern": str(p), "strategy": args.strategy,
+           "terms": list(map(list, spec.terms)), **_root_json(res)}
+    return doc, [_root_text(res)], 0
 
 
-def cmd_ae(args) -> int:
+def cmd_ae(args):
     res = spectral.avoidability_exponent(patterns.Pattern(args.pattern))
-    if args.json:
-        print(json.dumps({"pattern": str(res.pattern),
-                          "matrix": res.matrix.entries.tolist(),
-                          "beta": res.beta, "ae": res.ae,
-                          "iterations": res.iterations}))
-    else:
-        print(f"beta={_real(res.beta)} ae={_real(res.ae)}")
-    return 0
+    doc = {"pattern": str(res.pattern), "matrix": res.matrix.entries.tolist(),
+           "beta": res.beta, "ae": res.ae}
+    return doc, [f"beta={_real(res.beta)} ae={_real(res.ae)}"], 0
 
 
 def _report_json(rep: certify.VerificationReport) -> dict:
@@ -139,71 +120,61 @@ def _report_text(rep: certify.VerificationReport) -> str:
     return f"{head} counterexample preimage={w} {_occurrence_text(occ)}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.morphism:
         if not args.pattern:
-            raise SystemExit2("--morphism requires --pattern")
+            raise ValueError("--morphism requires --pattern")
+        if args.entry:
+            raise ValueError("--entry names a corpus morphism; "
+                             "it cannot be combined with --morphism")
         m = certify.load_morphism(args.morphism)
         entries = [certify.CorpusEntry(patterns.Pattern(args.pattern), m, 0.0)]
     else:
+        if args.pattern:
+            raise ValueError("--pattern requires --morphism")
         entries = certify.corpus()
         if args.entry:
             wanted = args.entry.upper()
             entries = [e for e in entries if e.pattern == wanted]
             if not entries:
-                raise SystemExit2(f"no corpus entry {wanted}")
+                raise ValueError(f"no corpus entry {wanted}")
     reports = [certify.verify_entry(e, args.max_preimage_len, args.image_cap,
                                     workers=args.workers)
                for e in entries]
-    if args.json:
-        print(json.dumps([_report_json(r) for r in reports]))
-    else:
-        for r in reports:
-            print(_report_text(r))
-    return 0 if all(r.passed for r in reports) else 1
+    return ([_report_json(r) for r in reports],
+            [_report_text(r) for r in reports],
+            0 if all(r.passed for r in reports) else 1)
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     counts = certify.count_avoiding(patterns.Pattern(args.pattern),
                                     args.alphabet, args.up_to,
                                     workers=args.workers)
-    if args.json:
-        print(json.dumps({"pattern": args.pattern, "alphabet": args.alphabet,
-                          "counts": counts}))
-    else:
-        for i, c in enumerate(counts):
-            print(f"n_{i}={c}")
-    return 0
+    doc = {"pattern": args.pattern, "alphabet": args.alphabet,
+           "counts": counts}
+    return doc, [f"n_{i}={c}" for i, c in enumerate(counts)], 0
 
 
-def cmd_splitted(args) -> int:
+def cmd_splitted(args):
     rep = patterns.find_splitted_factor(words.Word(args.word), args.n)
     pat = None
     if args.n == 2:
         pat, _ = patterns.splitted_to_pattern(rep.factor)
-    if args.json:
-        print(json.dumps({"word": args.word, "n": rep.n,
-                          "factor": rep.factor, "offset": rep.offset,
-                          "depth": rep.depth,
-                          "pattern": str(pat) if pat else None}))
-    else:
-        line = f"factor={rep.factor} offset={rep.offset} depth={rep.depth}"
-        if pat:
-            line += f" pattern={pat}"
-        print(line)
-    return 0
+    doc = {"word": args.word, "n": rep.n, "factor": rep.factor,
+           "offset": rep.offset, "depth": rep.depth,
+           "pattern": str(pat) if pat else None}
+    line = f"factor={rep.factor} offset={rep.offset} depth={rep.depth}"
+    if pat:
+        line += f" pattern={pat}"
+    return doc, [line], 0
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args):
     entries = certify.corpus()
-    if args.json:
-        print(json.dumps([{"pattern": str(e.pattern),
-                           "uniform_len": e.morphism.uniform_len,
-                           "ae": e.ae} for e in entries]))
-    else:
-        for e in entries:
-            print(f"{e.pattern} q={e.morphism.uniform_len} ae={_real(e.ae)}")
-    return 0
+    doc = [{"pattern": str(e.pattern), "uniform_len": e.morphism.uniform_len,
+            "ae": e.ae} for e in entries]
+    return doc, [f"{e.pattern} q={e.morphism.uniform_len} ae={_real(e.ae)}"
+                 for e in entries], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,13 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, OSError, SystemExit2) as e:
+        doc, lines, code = args.fn(args)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(doc))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -377,12 +377,5 @@ def splitted_to_pattern(w: str) -> tuple[Pattern, Occurrence]:
     in both halves)."""
     if not is_n_splitted(w, 2):
         raise ValueError(f"{w!r} is not 2-splitted")
-    ren: dict[str, str] = {}
-    out = []
-    for c in w:
-        if c not in ren:
-            ren[c] = VARS[len(ren)]
-        out.append(ren[c])
-    pattern = Pattern("".join(out))
-    images = {v: c for c, v in ren.items()}
-    return pattern, Occurrence(0, images)
+    pattern = canonicalize(w)
+    return pattern, Occurrence(0, dict(zip(pattern, w)))

@@ -10,7 +10,7 @@ alpha") is decided by integer cross-multiplication, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # Exact rational arithmetic; numerator/denominator, lowest terms,
 # exact comparison all come with the type.
@@ -102,24 +102,13 @@ def is_alpha_plus_free(w: str, alpha: Rational) -> bool:
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    num, den = alpha.numerator, alpha.denominator
-    n = len(w)
-    # For each period p, the longest factor of period p ending anywhere
-    # is found by extending matches w[i] == w[i+p]; a run of length r
-    # of such matches gives a factor of length r + p and period p.
-    for p in range(1, n):
-        run = 0
-        for i in range(n - p):
-            if w[i] == w[i + p]:
-                run += 1
-                if (run + p) * den > num * p:
-                    return False
-            else:
-                run = 0
-    return True
+    # every factor is a suffix of some prefix: check each prefix at its
+    # last letter, as the generator does
+    return all(_extension_ok(w[:n], alpha.numerator, alpha.denominator)
+               for n in range(2, len(w) + 1))
 
 
-def _extension_ok(codes: list[int], num: int, den: int) -> bool:
+def _extension_ok(codes: Sequence, num: int, den: int) -> bool:
     """Check only suffixes ending at the last letter of codes.
 
     Sound for incremental generation: every other factor was certified

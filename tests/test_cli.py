@@ -4,7 +4,7 @@ import json
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avoidance import cli
@@ -208,6 +208,50 @@ def test_series_exit_codes(pattern, alphabet, strategy, prefix_len):
     assert "Traceback" not in err
 
 
+_PATTERN = st.one_of(
+    st.text(alphabet="ABCD", min_size=1, max_size=10),
+    st.text(alphabet=string.ascii_uppercase + "a1-_ ", max_size=10),
+    # every variable exactly twice, the patterns ae accepts
+    st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True)
+    .flatmap(lambda vs: st.permutations(vs * 2)).map("".join),
+)
+_WORD = st.one_of(
+    st.text(alphabet="012", min_size=1, max_size=16),
+    st.text(alphabet="0123ap-_ ", max_size=12),
+    # length 2^k over k letters, as splitted --n 2 needs
+    st.integers(1, 3).flatmap(lambda k: st.text(
+        alphabet="012"[:k], min_size=2 ** k, max_size=2 ** k)),
+)
+
+
+def _argv(head, **flags):
+    """argv strategy: the head arguments, then each optional --flag with
+    an integer value or left out, then --json or not."""
+    opts = [st.none() | st.tuples(st.just("--" + name.replace("_", "-")),
+                                  values.map(str))
+            for name, values in flags.items()]
+    return st.tuples(head, st.booleans(), *opts).map(
+        lambda t: [*t[0], *(a for opt in t[2:] if opt for a in opt),
+                   *(["--json"] if t[1] else [])])
+
+
+@settings(max_examples=200)
+@given(argv=st.one_of(
+    _argv(st.tuples(st.just("occ"), _PATTERN, _WORD), cap=st.integers(-2, 12)),
+    _argv(st.tuples(st.just("ae"), _PATTERN)),
+    _argv(st.tuples(st.just("splitted"), _WORD), n=st.integers(-1, 4)),
+    # --up-to stays small: 26 letters to length 3 is already 18k words
+    _argv(st.tuples(st.just("count"), st.just("--pattern"), _PATTERN,
+                    st.just("--alphabet"), st.integers(-2, 27).map(str),
+                    st.just("--up-to"), st.integers(-2, 3).map(str))),
+))
+@example(argv=["ae", "ABBA"])
+def test_exit_codes(argv):
+    code, err = _run_quiet(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 class TestAE:
     def test_text_rendering(self, capsys):
         code, out, _ = run(capsys, "ae", "ABACDCBD")
@@ -218,8 +262,16 @@ class TestAE:
         _, out, _ = run(capsys, "ae", "ABACDCBD", "--json")
         doc = json.loads(out)
         assert doc["matrix"] == [[0, 1, 0, 0], [1, 0, 0, 1], [0, 2, 0, 1], [0, 1, 1, 0]]
-        assert doc["beta"] == 1.9403926636612265
-        assert doc["ae"] == 1.340090632233741
+        # largest root of the characteristic polynomial x^4 - 3x^2 - 2x + 1
+        assert abs(doc["beta"] - 1.94039266366067033) < 1e-14
+        assert abs(doc["ae"] - 1.340090632233741) < 1e-12
+        assert set(doc) == {"pattern", "matrix", "beta", "ae"}
+
+    def test_defective_matrix_is_answered(self, capsys):
+        # M of ABBA is nilpotent, so beta = 0 and AE takes its maximum 2
+        assert run(capsys, "ae", "ABBA") == (0, "beta=0.000000 ae=2.000000\n", "")
+        code, out, _ = run(capsys, "ae", "ABACDDCEBE")
+        assert (code, out) == (0, "beta=1.414214 ae=1.414214\n")
 
     def test_triple_variable_is_usage_error(self, capsys):
         code, _, err = run(capsys, "ae", "AAA")
@@ -279,6 +331,23 @@ class TestVerify:
         )
         assert (code, out) == (2, "")
         assert "error:" in err
+
+    def test_pattern_without_morphism_is_usage_error(self, capsys):
+        # the corpus entries carry their own patterns
+        code, out, err = run(capsys, "verify", "--pattern", "AA",
+                             "--max-preimage-len", "1")
+        assert (code, out) == (2, "")
+        assert "error:" in err and "--morphism" in err
+
+    def test_entry_with_morphism_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "tm.txt"
+        f.write_text("0 -> 01\n1 -> 10\n")
+        code, out, err = run(
+            capsys, "verify", "--pattern", "AA", "--morphism", str(f),
+            "--entry", "ABACBDCD", "--max-preimage-len", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "--entry" in err
 
 
 class TestCount:
