@@ -135,11 +135,14 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
       end of w, so the reversed pattern is first matched at position 0 of
       the reversed word, and the forward search runs only if that succeeds.
 
-    max_image_total caps |h(p)| (default |w|). min_end keeps only
-    occurrences ending at position >= min_end; incremental callers use it
-    to skip the already-searched prefix of w. The recursion depth is the
-    number of distinct variables, at most 26 for a Pattern, whatever |p|.
+    max_image_total caps |h(p)| (default |w|); a negative cap is a
+    ValueError. min_end keeps only occurrences ending at position >=
+    min_end; incremental callers use it to skip the already-searched prefix
+    of w. The recursion depth is the number of distinct variables, at most
+    26 for a Pattern, whatever |p|.
     """
+    if max_image_total is not None and max_image_total < 0:
+        raise ValueError(f"image cap {max_image_total} must be non-negative")
     n = len(w)
     plen = len(p)
     budget = n if max_image_total is None or max_image_total > n else max_image_total

@@ -7,22 +7,23 @@ a doubled pattern yield specs: counting every variable freely ("full"), or
 treating the variables of an all-distinct prefix as determined by the rest
 ("prefix").
 
-The first root is located on a grid of step SCAN_STEP, evaluated in one
-numpy pass, and then bisected to a bracket of BRACKET_WIDTH.
+The product is a power series with non-negative coefficients, so on
+[0, pole_radius) P is convex and at least 1 - m*x. Its first root is found
+by Newton's method from 1/m and reported only with a bracket of
+BRACKET_WIDTH whose sign change is proven in integer arithmetic; without
+one the root is absent, and scan_min is the minimum of P.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 from .patterns import Pattern, is_doubled
 
-SCAN_STEP = 1e-4
 BRACKET_WIDTH = 1e-12
 
 
@@ -101,8 +102,10 @@ def spec_prefix(p: str, m: int, k: int) -> SeriesSpec:
     return SeriesSpec(m, tuple(terms))
 
 
-def _closed_form(spec: SeriesSpec, x):
-    """P at x, a float or an array of points inside the domain."""
+def evaluate(spec: SeriesSpec, x: float) -> float:
+    """Closed-form P(x); defined on [0, pole_radius)."""
+    if x < 0 or x >= spec.pole_radius:
+        raise ValueError(f"x={x} outside [0, {spec.pole_radius})")
     prod = 1.0
     for c, w in spec.terms:
         t = c * x ** w
@@ -110,45 +113,82 @@ def _closed_form(spec: SeriesSpec, x):
     return 1.0 - spec.m * x + prod
 
 
-def evaluate(spec: SeriesSpec, x: float) -> float:
-    """Closed-form P(x); defined on [0, pole_radius)."""
-    if x < 0 or x >= spec.pole_radius:
-        raise ValueError(f"x={x} outside [0, {spec.pole_radius})")
-    return _closed_form(spec, x)
+def _slope(spec: SeriesSpec, x: float) -> float:
+    """P'(x) for 0 < x < pole_radius: each factor g = t/(1-t), t = c x^w,
+    has g'/g = w / (x (1-t))."""
+    prod, rate = 1.0, 0.0
+    for c, w in spec.terms:
+        t = c * x ** w
+        prod *= t / (1.0 - t)
+        rate += w / (1.0 - t)
+    return prod * rate / x - spec.m
+
+
+def _exact(spec: SeriesSpec, x: Fraction) -> Optional[tuple[int, int]]:
+    """P(x) at a rational x = n/d as (numerator, positive denominator), or
+    None unless x lies below every pole. The numerator
+    (d - m n) prod(d^w - c n^w) + d prod(c n^w) has the sign of P(x), and
+    each d^w - c n^w is positive exactly when x is below its pole."""
+    n, d = x.numerator, x.denominator
+    gaps = hits = 1
+    for c, w in spec.terms:
+        hit = c * n ** w
+        if d ** w <= hit:
+            return None
+        gaps *= d ** w - hit
+        hits *= hit
+    return (d - spec.m * n) * gaps + d * hits, d * gaps
 
 
 def smallest_positive_root(spec: SeriesSpec) -> RootResult:
-    """Find the first grid point of (0, pole_radius) where P <= 0, then
-    bisect between it and the point before.
+    """The first root of P in (0, pole_radius), proven to lie in a bracket
+    of BRACKET_WIDTH, or its absence together with the minimum of P.
 
-    P is evaluated on the whole grid SCAN_STEP, 2*SCAN_STEP, ... in one
-    numpy pass; the grid is a running sum, so its points are the floats of
-    repeated ``x += SCAN_STEP``. The step is fine enough for every spec
-    arising here (the roots are simple and well separated from 0). scan_min
-    is the least value of P on the grid up to the first root, or on the
-    whole grid when there is none, so a near-miss is visible; P(0) = 1
-    caps it at 1.
+    Every coefficient of the product's power series is non-negative, so on
+    [0, pole_radius) P is convex and P(x) >= 1 - m*x. Hence the first root
+    lies past 1/m, {P <= 0} is an interval, and the minimum of P lies where
+    the increasing P' crosses 0 (or at 0 when P'(0) >= 0). Newton's method
+    started at 1/m meets P > 0 and P' < 0 at each iterate before the root,
+    and convexity keeps every tangent's zero at or below the root: the
+    iterates climb to it without overshooting. An iterate where P' >= 0,
+    or one past the pole, shows there is no root.
+
+    A root x is reported only when the integer sign check of ``_exact``
+    proves P(lo) > 0 >= P(hi) at the rationals lo, hi = x -/+
+    BRACKET_WIDTH/2, with hi below every pole; then the first root lies in
+    (lo, hi], growth is 1/x and scan_min is P(hi) <= 0. Otherwise the root
+    is absent (a tangent, or two roots too close to separate) and scan_min
+    is the minimum of P, taken at a point within BRACKET_WIDTH of the
+    minimiser found by bisecting on the sign of P'. Both values of P are
+    rounded from their exact rational values, so a tangent gives a
+    scan_min of 0 or just above it, never below.
     """
-    hi = spec.pole_radius
-    # two spare points absorb the rounding of the running sum; the cut
-    # keeps exactly the points below the pole
-    xs = np.cumsum(np.full(int(hi / SCAN_STEP) + 2, SCAN_STEP))
-    xs = xs[xs < hi]
-    vs = _closed_form(spec, xs)
-    hits = np.flatnonzero(vs <= 0.0)
-    if not hits.size:
-        return RootResult(None, None, None, float(vs.min(initial=1.0)))
-    i = int(hits[0])
-    scan_min = float(vs[:i + 1].min())  # at most vs[i] <= 0
-    lo, hi2 = (float(xs[i - 1]) if i else 0.0), float(xs[i])
-    while hi2 - lo > BRACKET_WIDTH:
-        mid = (lo + hi2) / 2
-        if evaluate(spec, mid) <= 0.0:
-            hi2 = mid
-        else:
+    lo, hi = 0.0, spec.pole_radius  # P' < 0 at lo unless lo = 0
+    x = 1.0 / spec.m
+    while x < hi:
+        slope = _slope(spec, x)
+        if slope >= 0.0:
+            hi = x
+            break
+        lo, nxt = x, x - evaluate(spec, x) / slope
+        if nxt <= x:
+            # converged: P(x) <= 0 in floating point, or the step vanished
+            half = Fraction(BRACKET_WIDTH) / 2
+            below = _exact(spec, Fraction(x) - half)
+            above = _exact(spec, Fraction(x) + half)
+            if above is not None and below[0] > 0 >= above[0]:
+                return RootResult(x, 1.0 / x, BRACKET_WIDTH,
+                                  above[0] / above[1])
+            break
+        x = nxt
+    while hi - lo > BRACKET_WIDTH:
+        mid = (lo + hi) / 2
+        if _slope(spec, mid) < 0.0:
             lo = mid
-    root = (lo + hi2) / 2
-    return RootResult(root, 1.0 / root, hi2 - lo, scan_min)
+        else:
+            hi = mid
+    num, den = _exact(spec, Fraction(lo))
+    return RootResult(None, None, None, num / den)
 
 
 @dataclass(frozen=True)
@@ -194,10 +234,13 @@ def _try(spec: SeriesSpec) -> tuple[SeriesSpec, RootResult]:
 
 
 def check_bound_against_counts(spec: SeriesSpec, counts) -> bool:
-    """True iff n_i >= x0^{-i} for all provided i, with relative slack 1e-9
-    absorbing the root's floating-point error."""
+    """True iff n_i * hi^i >= 1 for all provided i, in exact rationals.
+
+    hi = root + bracket/2 is the proven upper end of the root's bracket, so
+    the series bound n_i >= x0^{-i} at the true root x0 <= hi implies
+    n_i >= hi^{-i}; that weaker, proven bound is what is tested."""
     res = smallest_positive_root(spec)
     if not res.found:
         raise ValueError("spec has no positive root; nothing to check")
-    inv = 1.0 / res.root
-    return all(n >= inv ** i * (1.0 - 1e-9) for i, n in enumerate(counts))
+    hi = Fraction(res.root) + Fraction(res.bracket) / 2
+    return all(n * hi ** i >= 1 for i, n in enumerate(counts))

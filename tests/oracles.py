@@ -130,6 +130,18 @@ def truncated_series_value(m: int, terms, x: float, n_terms: int = 60) -> float:
     return acc
 
 
+def exact_value(spec, x: Fraction) -> Fraction:
+    """P(x) = 1 - m*x + prod c*x^w / (1 - c*x^w) in exact rationals,
+    straight from the closed form; x must lie below every pole."""
+    acc = Fraction(1)
+    for c, w in spec.terms:
+        t = c * x**w
+        if t >= 1:
+            raise ValueError(f"x={x} is not below the pole of ({c}, {w})")
+        acc *= t / (1 - t)
+    return 1 - spec.m * x + acc
+
+
 def scan_first_root(evaluate, spec, step: float = 1e-4,
                     width: float = 1e-12):
     """The scalar root scan: walk x = step, 2*step, ... below the pole one

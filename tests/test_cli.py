@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import string
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ SPORADIC_4 = [
     "ABCADCDB",
     "ABCBDADC",
 ]
+SPORADIC_5 = ["ABACBDCEDE", "ABACDBCEDE", "ABACDBDECE"]
 
 
 def run(capsys, *argv):
@@ -57,6 +60,11 @@ class TestOcc:
         code, out, err = run(capsys, "occ", pattern, "01" * 350 + "1" + "01" * 350)
         assert (code, out, err) == (0, "none\n", "")
 
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "occ", "AB", "0123", "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert "error:" in err and "cap" in err
+
     def test_malformed_pattern(self, capsys):
         code, _, err = run(capsys, "occ", "A1", "01")
         assert code == 2
@@ -71,7 +79,7 @@ class TestEnumerate:
 
     def test_five_variables_json(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--vars", "5", "--json")
-        assert json.loads(out) == ["ABACBDCEDE", "ABACDBCEDE", "ABACDBDECE"]
+        assert json.loads(out) == SPORADIC_5
 
     def test_worker_count_does_not_change_bytes(self, capsys):
         _, a, _ = run(capsys, "enumerate", "--vars", "4", "--workers", "1")
@@ -102,8 +110,18 @@ class TestSeries:
             "--strategy", "full", "--json",
         )
         doc = json.loads(out)
-        assert doc["root"] == 0.3400023409109351
+        # the root of the numerator polynomial, as in test_series.py
+        assert abs(doc["root"] - 0.34000234091105663) < 1e-13
+        assert doc["bracket"] == 1e-12
         assert doc["terms"] == [[3, 3], [3, 2], [3, 2], [3, 2]]
+
+    def test_tangent_is_reported_absent(self, capsys):
+        # P = (1-2x)^2/(1-x) touches 0 at x = 1/2 without changing sign
+        code, out, _ = run(
+            capsys, "series", "--pattern", "AA", "--alphabet", "4",
+            "--strategy", "prefix", "--prefix-len", "1",
+        )
+        assert (code, out) == (0, "root=absent scan_min=0.000000\n")
 
     def test_certify_conclusive(self, capsys):
         code, out, _ = run(
@@ -247,6 +265,43 @@ def _argv(head, **flags):
 ))
 @example(argv=["ae", "ABBA"])
 def test_exit_codes(argv):
+    code, err = _run_quiet(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+_WORKERS = st.sampled_from([-1, 0, 1])  # never a pool
+_MORPHISM_FILE = st.sampled_from([
+    str(resources.files("avoidance") / "data/morphisms/abacbdcd.txt"),
+    __file__,  # exists, but is no morphism
+    str(Path(__file__).with_name("no-such-morphism.txt")),
+])
+_VERIFY_FLAGS = dict(image_cap=st.integers(-2, 40), workers=_WORKERS)
+# the corpus entries are the sporadic patterns
+_ENTRY = st.sampled_from(SPORADIC_4 + SPORADIC_5) | st.text(
+    alphabet=string.ascii_letters + "-_ ", max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.one_of(
+    # --vars 5 takes most of a second; it is the explicit example below
+    _argv(st.tuples(st.just("enumerate"), st.just("--vars"),
+                    st.sampled_from(["3", "4", "6"])), workers=_WORKERS),
+    _argv(st.tuples(st.just("verify"), st.just("--entry"), _ENTRY,
+                    st.just("--max-preimage-len"),
+                    st.integers(-1, 3).map(str)), **_VERIFY_FLAGS),
+    _argv(st.tuples(st.just("verify"), st.just("--pattern"), _PATTERN,
+                    st.just("--morphism"), _MORPHISM_FILE,
+                    st.just("--max-preimage-len"), st.integers(-1, 3).map(str),
+                    st.just(()) | st.tuples(st.just("--entry"), _ENTRY))
+         .map(lambda t: (*t[:-1], *t[-1])), **_VERIFY_FLAGS),
+    # all ten entries: short preimages keep each example cheap
+    _argv(st.tuples(st.just("verify"), st.just("--max-preimage-len"),
+                    st.integers(-1, 1).map(str)), **_VERIFY_FLAGS),
+    _argv(st.tuples(st.just("corpus")), workers=_WORKERS),
+))
+@example(argv=["enumerate", "--vars", "5"])
+def test_exit_codes_of_enumerate_verify_corpus(argv):
     code, err = _run_quiet(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -105,6 +105,14 @@ class TestFindOccurrence:
         assert find_occurrence(p, "012012") is not None
         assert find_occurrence(p, "012012", max_image_total=5) is None
         assert find_occurrence(p, "012012", max_image_total=6) is not None
+        assert find_occurrence(p, "012012", max_image_total=0) is None
+
+    @pytest.mark.parametrize("cap", [-1, -7])
+    def test_negative_cap_is_rejected(self, cap):
+        # no occurrence fits under a negative cap, but that is no answer:
+        # the cap itself is wrong
+        with pytest.raises(ValueError, match="cap"):
+            find_occurrence(Pattern("AB"), "0123", max_image_total=cap)
 
     def test_min_end_restricts_results(self):
         p = Pattern("AA")

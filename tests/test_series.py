@@ -1,22 +1,22 @@
 """The power-series lower-bound machinery.
 
 Root values asserted to tight tolerances here were produced once by the
-bisection routine and are frozen as regression numbers; coarse digits
-by independent analysis of the numerator polynomials.
+earlier grid-and-bisection routine and are frozen as regression numbers;
+coarse digits by independent analysis of the numerator polynomials.
 """
 
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from avoidance.patterns import Pattern, doubled_patterns_upto
 from avoidance.series import (
     BRACKET_WIDTH,
-    SCAN_STEP,
     SeriesSpec,
     certify_threeavoidable,
     check_bound_against_counts,
@@ -167,12 +167,22 @@ class TestSmallestPositiveRoot:
         assert abs(rb.root - 0.35208402595778543) < 1e-10
 
     def test_aa_is_inconclusive_over_three_letters(self):
-        # numerator 9x^3 - 3x + 1 stays positive on the domain
+        # numerator 9x^3 - 3x + 1 stays positive on the domain; the minimum
+        # of P sits at the root of 9x^4 - 6x^2 - 2x + 1 in (0, 1/sqrt(3))
         r = smallest_positive_root(spec_full("AA", 3))
         assert not r.found
         assert r.root is None
         assert r.scan_min > 0
-        assert abs(r.scan_min - 0.46718059372464577) < 1e-9
+        assert abs(r.scan_min - 0.46718057248434847) < 1e-15
+
+    @pytest.mark.parametrize("spec", [SeriesSpec(4, ((1, 1),)),
+                                      SeriesSpec(8, ((2, 1),))])
+    def test_tangent_is_not_a_root(self, spec):
+        # P = (1-2x)^2/(1-x) and (1-4x)^2/(1-2x): zero at the tangent
+        # point but positive on both sides, so no bracket changes sign
+        r = smallest_positive_root(spec)
+        assert not r.found
+        assert 0 <= r.scan_min < 1e-12
 
     def test_aa_over_seven_letters_has_root(self):
         r = smallest_positive_root(spec_full("AA", 7))
@@ -211,19 +221,33 @@ def _pattern_specs() -> set[SeriesSpec]:
     return specs
 
 
-def _assert_scan_matches_oracle(spec: SeriesSpec) -> None:
-    # the grid pass also evaluates P past the first root, where the scalar
-    # loop never went; no point there may warn
+def _assert_scan_matches_oracle(spec: SeriesSpec) -> bool:
+    """Check one spec against the grid oracle and the exact closed form;
+    True iff both found a root or both found none."""
+    # Newton's method and the bisection on P' only evaluate P and P'
+    # inside the domain; no point there may warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = smallest_positive_root(spec)
     root, bracket, scan_min = oracles.scan_first_root(
-        evaluate, spec, SCAN_STEP, BRACKET_WIDTH)
-    assert got.found == (root is not None)
+        evaluate, spec, width=BRACKET_WIDTH)
+    if got.found:
+        half = Fraction(got.bracket) / 2
+        assert got.bracket <= BRACKET_WIDTH
+        assert oracles.exact_value(spec, Fraction(got.root) - half) > 0
+        assert oracles.exact_value(spec, Fraction(got.root) + half) <= 0
+        assert got.scan_min <= 0
+    if got.found != (root is not None):
+        # only a tangent, where the grid may see a sign change that no
+        # bracket proves (or miss a dip that one does)
+        assert abs(got.scan_min) < 1e-9
+        return False
     if got.found:
         assert abs(got.root - root) <= 1e-12
-        assert got.bracket <= BRACKET_WIDTH
-    assert abs(got.scan_min - scan_min) <= 1e-15
+    else:
+        # the true minimum lies below every grid sample
+        assert got.scan_min <= scan_min + 1e-15
+    return True
 
 
 class TestScanMatchesScalarOracle:
@@ -231,25 +255,28 @@ class TestScanMatchesScalarOracle:
         specs = _pattern_specs()
         assert len(specs) >= 235
         for spec in specs:
-            _assert_scan_matches_oracle(spec)
+            assert _assert_scan_matches_oracle(spec)
 
     @given(
         m=st.integers(1, 7),
         terms=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 6)),
                        min_size=1, max_size=5),
     )
+    @example(m=4, terms=[(1, 1)])  # tangent at 1/2
     def test_on_random_specs(self, m, terms):
         _assert_scan_matches_oracle(SeriesSpec(m=m, terms=tuple(terms)))
 
     def test_root_inside_the_first_step(self):
-        # bisection starts from 0 when the first grid point is past the root
+        # the root lies below the oracle's first grid point, so the
+        # oracle's bisection starts from 0
         spec = SeriesSpec(m=20000, terms=((1, 1), (1, 1)))
-        _assert_scan_matches_oracle(spec)
-        assert smallest_positive_root(spec).root < SCAN_STEP
+        assert _assert_scan_matches_oracle(spec)
+        assert smallest_positive_root(spec).root < 1e-4
 
     def test_pole_inside_the_first_step_gives_an_empty_scan(self):
+        # P'(0) = 20000 - 3 > 0, so the minimum of P is P(0) = 1
         spec = SeriesSpec(m=3, terms=((20000, 1),))
-        assert spec.pole_radius < SCAN_STEP
+        assert spec.pole_radius < 1e-4
         r = smallest_positive_root(spec)
         assert (r.found, r.scan_min) == (False, 1.0)
         assert oracles.scan_first_root(evaluate, spec) == (None, None, 1.0)
