@@ -25,7 +25,7 @@ from typing import Optional
 
 from .patterns import Occurrence, Pattern, find_occurrence, map_workers
 from .series import certify_threeavoidable, check_bound_against_counts
-from .words import DISPLAY, MAX_ALPHABET, Word, generate_free_words
+from .words import DISPLAY, MAX_ALPHABET, generate_free_words, letter_indices
 
 FREE_EXPONENT = Fraction(5, 4)
 DEFAULT_PREIMAGE_LEN = 6
@@ -72,7 +72,7 @@ class VerificationReport:
     image_cap: int
     preimages_checked: int
     passed: bool
-    counterexample: Optional[tuple[Word, Occurrence]]
+    counterexample: Optional[tuple[str, Occurrence]]  # (preimage, occurrence)
     windows_searched: int  # distinct preimage suffixes searched to the verdict
     effective_cap: int  # min(image_cap, max_preimage_len * q): no window is longer
 
@@ -130,12 +130,14 @@ def corpus() -> list[CorpusEntry]:
     return entries
 
 
-def apply_morphism(m: Morphism, w: str) -> Word:
-    """Concatenate images; |result| = uniform_len * |w|."""
-    codes = Word(str(w)).codes
-    if codes and max(codes) >= m.domain_size:
+def apply_morphism(m: Morphism, w: str) -> str:
+    """Concatenate the images of the letters of w, a word over the display
+    alphabet; |result| = uniform_len * |w|. ValueError on a letter outside
+    the display alphabet or the morphism's domain."""
+    indices = letter_indices(w)
+    if indices and max(indices) >= m.domain_size:
         raise ValueError(f"{w!r} has letters outside domain of size {m.domain_size}")
-    return Word("".join(m.images[d] for d in codes), alphabet_size=2)
+    return "".join(m.images[d] for d in indices)
 
 
 def _window_blocks(image_cap: int, q: int) -> int:
@@ -162,7 +164,7 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
     if max_preimage_len < 1 or cap < 1:
         raise ValueError("caps must be positive")
     tail = _window_blocks(cap, q)
-    first: dict[str, tuple[int, Word]] = {}  # suffix -> (stream index, preimage)
+    first: dict[str, tuple[int, str]] = {}  # suffix -> (stream index, preimage)
     checked = 0
     for checked, w in enumerate(generate_free_words(5, FREE_EXPONENT,
                                                     max_preimage_len), 1):
@@ -221,19 +223,15 @@ def _count_shard(args) -> list[int]:
     letters = DISPLAY[:m]
 
     def rec(w: str) -> None:
-        counts[len(w)] += 1
-        if len(w) == up_to:
+        if len(w) >= plen and \
+                find_occurrence(p, w, min_end=len(w)) is not None:
             return
-        for a in letters:
-            w2 = w + a
-            if len(w2) >= plen and \
-                    find_occurrence(p, w2, min_end=len(w2)) is not None:
-                continue
-            rec(w2)
+        counts[len(w)] += 1
+        if len(w) < up_to:
+            for a in letters:
+                rec(w + a)
 
-    root = DISPLAY[first]
-    if len(root) < plen or find_occurrence(p, root, min_end=1) is None:
-        rec(root)
+    rec(DISPLAY[first])
     return counts
 
 

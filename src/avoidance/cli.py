@@ -35,9 +35,9 @@ def _occurrence_text(occ: patterns.Occurrence) -> str:
 
 def cmd_occ(args):
     p = patterns.Pattern(args.pattern)
-    w = words.Word(args.word)
-    occ = patterns.find_occurrence(p, w, args.cap)
-    doc = {"pattern": str(p), "word": str(w),
+    words.letter_indices(args.word)
+    occ = patterns.find_occurrence(p, args.word, args.cap)
+    doc = {"pattern": str(p), "word": args.word,
            "occurrence": _occurrence_json(occ) if occ else None}
     return doc, [_occurrence_text(occ) if occ else "none"], 0
 
@@ -107,7 +107,7 @@ def _report_json(rep: certify.VerificationReport) -> dict:
            "counterexample": None}
     if rep.counterexample:
         w, occ = rep.counterexample
-        out["counterexample"] = {"preimage": str(w), **_occurrence_json(occ)}
+        out["counterexample"] = {"preimage": w, **_occurrence_json(occ)}
     return out
 
 
@@ -122,7 +122,7 @@ def _report_text(rep: certify.VerificationReport) -> str:
 
 def cmd_verify(args):
     if args.morphism:
-        if not args.pattern:
+        if args.pattern is None:
             raise ValueError("--morphism requires --pattern")
         if args.entry:
             raise ValueError("--entry names a corpus morphism; "
@@ -130,7 +130,7 @@ def cmd_verify(args):
         m = certify.load_morphism(args.morphism)
         entries = [certify.CorpusEntry(patterns.Pattern(args.pattern), m, 0.0)]
     else:
-        if args.pattern:
+        if args.pattern is not None:
             raise ValueError("--pattern requires --morphism")
         entries = certify.corpus()
         if args.entry:
@@ -156,7 +156,8 @@ def cmd_count(args):
 
 
 def cmd_splitted(args):
-    rep = patterns.find_splitted_factor(words.Word(args.word), args.n)
+    words.letter_indices(args.word)
+    rep = patterns.find_splitted_factor(args.word, args.n)
     pat = None
     if args.n == 2:
         pat, _ = patterns.splitted_to_pattern(rep.factor)

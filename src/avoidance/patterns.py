@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
-from .words import DISPLAY
-
 VARS = string.ascii_uppercase
 
 
@@ -164,8 +162,9 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
 
 
 @lru_cache(maxsize=64)
-def _variables(p: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    # the variables in order of first appearance, and p as their indices
+def variables(p: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The variables of p in order of first appearance, and p as their
+    indices in that order."""
     order = tuple(sorted(set(p), key=p.index))
     index = {c: i for i, c in enumerate(order)}
     return order, tuple(index[c] for c in p)
@@ -176,7 +175,7 @@ def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
     w[:limit] (ending at >= min_end), or -1, with the images it bound left
     in the returned list, indexed like the returned variables (in order of
     first appearance); on -1 the images bound by the call are reset."""
-    order, pvars = _variables(p)
+    order, pvars = variables(p)
     plen = len(pvars)
     images: list[Optional[str]] = [None] * len(order)
     find = w.find
@@ -272,18 +271,14 @@ def pattern_contains_doubled(p: str, max_vars: int
                              ) -> Optional[tuple[Pattern, Occurrence]]:
     """Search p, read as a word over its own variables, for an occurrence
     of any doubled pattern q with v(q) <= max_vars and |q| <= |p|; returns
-    the first hit in (length, lex) order of q, or None."""
-    host = _pattern_as_word(p)
+    the first hit in (length, lex) order of q, or None. The search only
+    compares letters, so p hosts the occurrence as it is, and the images
+    are factors of p."""
     for q in doubled_patterns_upto(max_vars, len(p)):
-        occ = find_occurrence(q, host)
+        occ = find_occurrence(q, p)
         if occ is not None:
             return q, occ
     return None
-
-
-def _pattern_as_word(p: str) -> str:
-    # variables become display letters so the occurrence engine can host them
-    return "".join(DISPLAY[ord(c) - 65] for c in p)
 
 
 def find_doubled_factor(p: str) -> Optional[Pattern]:
@@ -293,7 +288,7 @@ def find_doubled_factor(p: str) -> Optional[Pattern]:
     for length in range(2, n + 1):
         for start in range(n - length + 1):
             f = p[start:start + length]
-            if all(f.count(c) >= 2 for c in set(f)):
+            if is_doubled(f):
                 return Pattern(f)
     return None
 

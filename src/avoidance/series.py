@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .patterns import Pattern, is_doubled
+from .patterns import Pattern, is_doubled, variables
 
 BRACKET_WIDTH = 1e-12
 
@@ -58,8 +58,7 @@ class RootResult:
 
 
 def _occurrence_counts(p: str) -> list[tuple[str, int]]:
-    seen = sorted(set(p), key=p.index)
-    return [(v, p.count(v)) for v in seen]
+    return [(v, p.count(v)) for v in variables(p)[0]]
 
 
 def spec_full(p: str, m: int) -> SeriesSpec:

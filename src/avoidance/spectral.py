@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import Pattern
+from .patterns import Pattern, variables
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class AEResult:
 def ae_matrix(p: str) -> AEMatrix:
     """Between-occurrence count matrix of a doubled pattern of length 2v."""
     pat = Pattern(p)
-    order = sorted(set(pat), key=pat.index)
+    order, _ = variables(pat)
     spans = {}
     for v in order:
         if pat.count(v) != 2:

@@ -1,58 +1,36 @@
 """Words over small alphabets: periods, fractional exponents, and
 generation of alpha+-free words.
 
-A word is a string over the display alphabet '0'-'9' then 'a'-'p'
-(alphabet sizes up to 26). Exponents are exact rationals throughout;
-the alpha+ condition ("no factor of exponent strictly greater than
-alpha") is decided by integer cross-multiplication, never floats.
+A word is a plain str over the display alphabet '0'-'9' then 'a'-'p'
+(alphabet sizes up to 26). Words that come from outside the program are
+checked once, by letter_indices, which also gives their letters as
+indices 0..25. Exponents are exact Fractions throughout; the alpha+
+condition ("no factor of exponent strictly greater than alpha") is decided
+by integer cross-multiplication, never floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-# Exact rational arithmetic; numerator/denominator, lowest terms,
-# exact comparison all come with the type.
-Rational = Fraction
+from typing import Iterator
 
 DISPLAY = "0123456789abcdefghijklmnop"
 MAX_ALPHABET = len(DISPLAY)
 
-_CODE = {c: i for i, c in enumerate(DISPLAY)}
+_INDEX = {c: i for i, c in enumerate(DISPLAY)}
 
 
-class Word(str):
-    """A word over Sigma_m, rendered as display letters.
+def letter_indices(w: str) -> list[int]:
+    """The letters of w as indices into DISPLAY; ValueError on any other
+    letter.
 
-    >>> Word("0110").alphabet_size
-    2
-    >>> Word("0110", alphabet_size=3).alphabet_size
-    3
+    >>> letter_indices("0a1")
+    [0, 10, 1]
     """
-
-    alphabet_size: int
-
-    def __new__(cls, text: str, alphabet_size: int | None = None) -> "Word":
-        w = super().__new__(cls, text)
-        codes = [_CODE.get(c) for c in text]
-        if any(c is None for c in codes):
-            raise ValueError(f"letter outside display alphabet in {text!r}")
-        implied = max(codes, default=-1) + 1
-        if alphabet_size is None:
-            alphabet_size = implied
-        if alphabet_size < implied or alphabet_size > MAX_ALPHABET:
-            raise ValueError(f"alphabet_size {alphabet_size} invalid for {text!r}")
-        w.alphabet_size = alphabet_size
-        return w
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(_CODE[c] for c in self)
-
-
-def from_codes(codes, alphabet_size: int | None = None) -> Word:
-    return Word("".join(DISPLAY[c] for c in codes), alphabet_size)
+    try:
+        return [_INDEX[c] for c in w]
+    except KeyError:
+        raise ValueError(f"letter outside display alphabet in {w!r}") from None
 
 
 def smallest_period(w: str) -> int:
@@ -82,7 +60,7 @@ def smallest_period(w: str) -> int:
     return n - border[n - 1]
 
 
-def exponent(w: str) -> Rational:
+def exponent(w: str) -> Fraction:
     """|w| / smallest_period(w), in lowest terms.
 
     >>> exponent("0101")
@@ -93,7 +71,7 @@ def exponent(w: str) -> Rational:
     return Fraction(len(w), smallest_period(w))
 
 
-def is_alpha_plus_free(w: str, alpha: Rational) -> bool:
+def is_alpha_plus_free(w: str, alpha: Fraction) -> bool:
     """True iff no factor of w has exponent strictly greater than alpha.
 
     Factors of exponent exactly alpha are allowed: this is the alpha+
@@ -108,8 +86,8 @@ def is_alpha_plus_free(w: str, alpha: Rational) -> bool:
                for n in range(2, len(w) + 1))
 
 
-def _extension_ok(codes: Sequence, num: int, den: int) -> bool:
-    """Check only suffixes ending at the last letter of codes.
+def _extension_ok(w: str, num: int, den: int) -> bool:
+    """Check only suffixes ending at the last letter of w.
 
     Sound for incremental generation: every other factor was certified
     when its own last letter was appended. For each shift p, the longest
@@ -117,11 +95,11 @@ def _extension_ok(codes: Sequence, num: int, den: int) -> bool:
     and itself shifted by p); exponent > alpha for some suffix iff it
     holds for one of these maximal ones.
     """
-    n = len(codes)
+    n = len(w)
     for p in range(1, n):
         lcs = 0
         i = n - 1 - p
-        while i >= 0 and codes[i] == codes[i + p]:
+        while i >= 0 and w[i] == w[i + p]:
             lcs += 1
             i -= 1
         if (p + lcs) * den > num * p:
@@ -129,7 +107,7 @@ def _extension_ok(codes: Sequence, num: int, den: int) -> bool:
     return True
 
 
-def generate_free_words(k: int, alpha: Rational, max_len: int) -> Iterator[Word]:
+def generate_free_words(k: int, alpha: Fraction, max_len: int) -> Iterator[str]:
     """Stream every alpha+-free word over Sigma_k with 1 <= |w| <= max_len.
 
     Emission is in lexicographic order with prefixes first (depth-first
@@ -141,22 +119,21 @@ def generate_free_words(k: int, alpha: Rational, max_len: int) -> Iterator[Word]
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     num, den = alpha.numerator, alpha.denominator
-    codes: list[int] = []
+    letters = DISPLAY[:k]
 
-    def rec() -> Iterator[Word]:
-        for a in range(k):
-            codes.append(a)
-            if _extension_ok(codes, num, den):
-                yield from_codes(codes, k)
-                if len(codes) < max_len:
-                    yield from rec()
-            codes.pop()
+    def rec(w: str) -> Iterator[str]:
+        for a in letters:
+            w2 = w + a
+            if _extension_ok(w2, num, den):
+                yield w2
+                if len(w2) < max_len:
+                    yield from rec(w2)
 
     if max_len >= 1:
-        yield from rec()
+        yield from rec("")
 
 
-def count_free_words(k: int, alpha: Rational, max_len: int) -> list[int]:
+def count_free_words(k: int, alpha: Fraction, max_len: int) -> list[int]:
     """Counts per length of the stream above; index 0 counts the empty word."""
     counts = [0] * (max_len + 1)
     counts[0] = 1

@@ -17,7 +17,7 @@ from avoidance.certify import (
 )
 from avoidance.patterns import Pattern, find_occurrence, is_doubled
 from avoidance.spectral import avoidability_exponent
-from avoidance.words import Word, count_free_words
+from avoidance.words import count_free_words
 
 import oracles
 
@@ -104,7 +104,7 @@ class TestApplyMorphism:
         assert apply_morphism(m, "") == ""
         assert apply_morphism(m, "0") == "01"
         assert apply_morphism(m, "01") == "0110"
-        assert apply_morphism(m, Word("10", alphabet_size=2)) == "1001"
+        assert apply_morphism(m, "10") == "1001"
 
     def test_length_is_uniform_multiple(self):
         m = corpus()[0].morphism
@@ -114,6 +114,11 @@ class TestApplyMorphism:
         m = Morphism(images=("01", "10"))
         with pytest.raises(ValueError):
             apply_morphism(m, "02")
+
+    def test_rejects_letters_outside_display_alphabet(self):
+        m = Morphism(images=("01", "10"))
+        with pytest.raises(ValueError, match="display alphabet"):
+            apply_morphism(m, "0x")
 
 
 class TestVerifyEntry:

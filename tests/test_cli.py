@@ -70,6 +70,11 @@ class TestOcc:
         assert code == 2
         assert "error:" in err
 
+    def test_word_outside_display_alphabet(self, capsys):
+        code, out, err = run(capsys, "occ", "AA", "xyz")
+        assert (code, out) == (2, "")
+        assert err == "error: letter outside display alphabet in 'xyz'\n"
+
 
 class TestEnumerate:
     def test_four_variables(self, capsys):
@@ -388,11 +393,22 @@ class TestVerify:
         assert "error:" in err
 
     def test_pattern_without_morphism_is_usage_error(self, capsys):
-        # the corpus entries carry their own patterns
-        code, out, err = run(capsys, "verify", "--pattern", "AA",
-                             "--max-preimage-len", "1")
+        # the corpus entries carry their own patterns; an empty one is no
+        # excuse to verify all ten
+        for pattern in ("AA", ""):
+            code, out, err = run(capsys, "verify", "--pattern", pattern,
+                                 "--max-preimage-len", "1")
+            assert (code, out) == (2, "")
+            assert err == "error: --pattern requires --morphism\n"
+
+    def test_empty_pattern_with_morphism_is_rejected_as_a_pattern(
+            self, capsys, tmp_path):
+        f = tmp_path / "tm.txt"
+        f.write_text("0 -> 01\n1 -> 10\n")
+        code, out, err = run(capsys, "verify", "--pattern", "",
+                             "--morphism", str(f))
         assert (code, out) == (2, "")
-        assert "error:" in err and "--morphism" in err
+        assert err == "error: pattern must be non-empty\n"
 
     def test_entry_with_morphism_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "tm.txt"
@@ -454,6 +470,11 @@ class TestSplitted:
         code, _, err = run(capsys, "splitted", "011010", "--n", "2")
         assert code == 2
         assert "error:" in err
+
+    def test_word_outside_display_alphabet(self, capsys):
+        code, out, err = run(capsys, "splitted", "01x0")
+        assert (code, out) == (2, "")
+        assert err == "error: letter outside display alphabet in '01x0'\n"
 
 
 class TestCorpusCmd:

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from avoidance import words
 from avoidance.words import (
-    Word,
     count_free_words,
     exponent,
     generate_free_words,
     is_alpha_plus_free,
+    letter_indices,
     smallest_period,
 )
 
@@ -24,23 +24,18 @@ def test_module_doctests():
     assert failed == 0
 
 
-class TestWord:
-    def test_rejects_letters_outside_alphabet(self):
-        with pytest.raises(ValueError):
-            Word("012", alphabet_size=2)
+class TestLetterIndices:
+    def test_rejects_letters_outside_display_alphabet(self):
+        for w in ("0x", "q", "A", "0 1"):
+            with pytest.raises(ValueError, match="display alphabet"):
+                letter_indices(w)
 
-    def test_codes_round_trip(self):
-        w = Word("0a1", alphabet_size=11)
-        assert w.codes == (0, 10, 1)
+    def test_indices_round_trip(self):
+        assert letter_indices("0a1") == [0, 10, 1]
+        assert letter_indices(words.DISPLAY) == list(range(words.MAX_ALPHABET))
 
     def test_empty_word_allowed(self):
-        assert Word("", alphabet_size=3).codes == ()
-
-    def test_alphabet_size_bounds(self):
-        with pytest.raises(ValueError):
-            Word("0", alphabet_size=27)
-        with pytest.raises(ValueError):
-            Word("0", alphabet_size=0)
+        assert letter_indices("") == []
 
 
 @pytest.mark.parametrize(
@@ -104,16 +99,10 @@ def test_free_words_are_factorial(w, alpha):
     ],
 )
 def test_generator_matches_filter_oracle(k, alpha, max_len):
-    got = [str(w) for w in generate_free_words(k, alpha, max_len)]
+    got = list(generate_free_words(k, alpha, max_len))
     assert sorted(got) == sorted(oracles.filter_free_words(k, alpha, max_len))
     # stream is lexicographic with prefixes before extensions
     assert got == sorted(got)
-
-
-def test_generated_words_carry_alphabet_size():
-    for w in generate_free_words(3, Fraction(2), 3):
-        assert isinstance(w, Word)
-        assert w.alphabet_size == 3
 
 
 def test_count_free_words_ternary_dejean_threshold():
@@ -136,7 +125,7 @@ def test_count_zero_length():
 
 
 def test_binary_two_plus_free_contains_thue_morse_prefix():
-    free = set(str(w) for w in generate_free_words(2, Fraction(2), 8))
+    free = set(generate_free_words(2, Fraction(2), 8))
     assert "01101001" in free
     assert "0101" in free  # exponent exactly 2 is allowed
     assert "000" not in free
