@@ -1,5 +1,6 @@
 """The ten-entry morphism corpus, bounded avoidance verification over
-(5/4+)-free preimages, and brute-force factor-complexity counting.
+(5/4+)-free words over the morphism's domain, and brute-force
+factor-complexity counting.
 
 Each corpus entry pairs a sporadic doubled pattern with a 5-letter-to-binary
 uniform morphism; the claim behind it is that images of (5/4+)-free words
@@ -149,9 +150,10 @@ def _window_blocks(image_cap: int, q: int) -> int:
 def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LEN,
                  image_cap: int | None = None, workers: int = 1
                  ) -> VerificationReport:
-    """Check that no (5/4+)-free preimage up to the length bound has an
-    image containing an occurrence of the entry's pattern with total image
-    length <= image_cap (default twice the uniform length).
+    """Check that no preimage up to the length bound, among the
+    (5/4+)-free words over the morphism's domain, has an image containing
+    an occurrence of the entry's pattern with total image length <=
+    image_cap (default twice the uniform length).
 
     The stream is prefix-closed, so each preimage only needs the
     occurrences ending in its last block, and those lie in the image of
@@ -166,8 +168,9 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
     tail = _window_blocks(cap, q)
     first: dict[str, tuple[int, str]] = {}  # suffix -> (stream index, preimage)
     checked = 0
-    for checked, w in enumerate(generate_free_words(5, FREE_EXPONENT,
-                                                    max_preimage_len), 1):
+    stream = generate_free_words(entry.morphism.domain_size, FREE_EXPONENT,
+                                 max_preimage_len)
+    for checked, w in enumerate(stream, 1):
         first.setdefault(w[-tail:], (checked, w))
     keys = list(first)
     jobs = [(entry.pattern, entry.morphism, key, cap) for key in keys]

@@ -121,10 +121,10 @@ def _report_text(rep: certify.VerificationReport) -> str:
 
 
 def cmd_verify(args):
-    if args.morphism:
+    if args.morphism is not None:
         if args.pattern is None:
             raise ValueError("--morphism requires --pattern")
-        if args.entry:
+        if args.entry is not None:
             raise ValueError("--entry names a corpus morphism; "
                              "it cannot be combined with --morphism")
         m = certify.load_morphism(args.morphism)
@@ -133,7 +133,7 @@ def cmd_verify(args):
         if args.pattern is not None:
             raise ValueError("--pattern requires --morphism")
         entries = certify.corpus()
-        if args.entry:
+        if args.entry is not None:
             wanted = args.entry.upper()
             entries = [e for e in entries if e.pattern == wanted]
             if not entries:

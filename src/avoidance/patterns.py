@@ -1,6 +1,13 @@
 """Patterns over variables A-Z, occurrence search, the enumeration and
 filtering pipeline for doubled patterns, and n-splitted words.
 
+Inside the library a pattern is a plain str over A-Z. `Pattern` is the
+check where outside text becomes a pattern: a CLI argument, a corpus name,
+the symbols given to `canonicalize`, and the argument of the public entry
+points that take any string (`certify.count_avoiding`,
+`series.certify_threeavoidable`, `spectral.ae_matrix`). The generators
+here build and yield plain str.
+
 An occurrence of a pattern p in a word w is a non-erasing morphism h
 (variable -> non-empty word) with h(p) a factor of w. The search here is
 exhaustive backtracking and doubles as a decision procedure; enumeration
@@ -30,11 +37,8 @@ VARS = string.ascii_uppercase
 
 
 class Pattern(str):
-    """A non-empty word over the variable alphabet A-Z."""
-
-    # no per-instance __dict__: the enumeration caches hold tens of
-    # thousands of patterns
-    __slots__ = ()
+    """A non-empty word over the variable alphabet A-Z: the check where
+    outside text becomes a pattern. Library code passes plain str."""
 
     def __new__(cls, text: str) -> "Pattern":
         if not text:
@@ -42,14 +46,6 @@ class Pattern(str):
         if any(c not in VARS for c in text):
             raise ValueError(f"pattern letters must be A-Z: {text!r}")
         return super().__new__(cls, text)
-
-    @property
-    def var_count(self) -> int:
-        return len(set(self))
-
-    @property
-    def is_canonical(self) -> bool:
-        return self == canonicalize(self)
 
 
 def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterator:
@@ -92,14 +88,9 @@ class Occurrence:
 
 
 def canonicalize(raw: str) -> Pattern:
-    """Rename variables by order of first appearance; idempotent."""
-    ren: dict[str, str] = {}
-    out = []
-    for c in raw:
-        if c not in ren:
-            ren[c] = VARS[len(ren)]
-        out.append(ren[c])
-    return Pattern("".join(out))
+    """Rename the symbols of raw, any symbols, to A, B, ... by order of
+    first appearance; idempotent."""
+    return Pattern("".join(VARS[i] for i in variables(raw)[1]))
 
 
 def reverse(p: str) -> Pattern:
@@ -221,28 +212,28 @@ def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
 
 
 @lru_cache(maxsize=32)
-def doubled_patterns_upto(max_vars: int, max_len: int) -> tuple[Pattern, ...]:
+def doubled_patterns_upto(max_vars: int, max_len: int) -> tuple[str, ...]:
     """All canonical doubled patterns q with v(q) <= max_vars and
     2 <= |q| <= max_len, ordered by (length, lexicographic)."""
-    out: list[Pattern] = []
+    out: list[str] = []
     for length in range(2, max_len + 1):
         out.extend(_doubled_of_length(length, max_vars, exactly_twice=False))
     return tuple(out)
 
 
 def _doubled_of_length(length: int, max_vars: int,
-                       exactly_twice: bool) -> list[Pattern]:
+                       exactly_twice: bool) -> list[str]:
     """Canonical patterns of the given length with every variable occurring
     at least twice (exactly twice if requested), at most max_vars variables.
     Canonical forms are exactly the restricted growth strings."""
-    out: list[Pattern] = []
+    out: list[str] = []
     seq: list[int] = []
     counts: list[int] = []
 
     def rec() -> None:
         if len(seq) == length:
             if all(c >= 2 for c in counts):
-                out.append(Pattern("".join(VARS[i] for i in seq)))
+                out.append("".join(VARS[i] for i in seq))
             return
         rem = length - len(seq)
         for v in range(len(counts) + 1):
@@ -268,7 +259,7 @@ def _doubled_of_length(length: int, max_vars: int,
 
 
 def pattern_contains_doubled(p: str, max_vars: int
-                             ) -> Optional[tuple[Pattern, Occurrence]]:
+                             ) -> Optional[tuple[str, Occurrence]]:
     """Search p, read as a word over its own variables, for an occurrence
     of any doubled pattern q with v(q) <= max_vars and |q| <= |p|; returns
     the first hit in (length, lex) order of q, or None. The search only
@@ -281,7 +272,7 @@ def pattern_contains_doubled(p: str, max_vars: int
     return None
 
 
-def find_doubled_factor(p: str) -> Optional[Pattern]:
+def find_doubled_factor(p: str) -> Optional[str]:
     """Shortest contiguous factor of p that is doubled after
     canonicalization (literal factor, not renamed); None if there is none."""
     n = len(p)
@@ -289,7 +280,7 @@ def find_doubled_factor(p: str) -> Optional[Pattern]:
         for start in range(n - length + 1):
             f = p[start:start + length]
             if is_doubled(f):
-                return Pattern(f)
+                return f
     return None
 
 
@@ -297,7 +288,7 @@ def _survives_containment(chunk: tuple[str, ...]) -> list[str]:
     return [p for p in chunk if pattern_contains_doubled(p, len(set(p)) - 1) is None]
 
 
-def enumerate_remaining(v: int, workers: int = 1) -> list[Pattern]:
+def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
     """The doubled patterns with v variables not settled by the series
     method: length exactly 2v, keeping only those where neither the pattern
     nor its reversal starts with all-distinct variables (those prefix shapes
@@ -316,7 +307,7 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[Pattern]:
               for i in range(min(workers, len(candidates)))]
     kept = {p for part in map_workers(_survives_containment, chunks, workers)
             for p in part}
-    return sorted(Pattern(p) for p in kept
+    return sorted(p for p in kept
                   if not (reverse(p) in kept and reverse(p) < p))
 
 

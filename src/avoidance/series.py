@@ -93,8 +93,6 @@ def spec_prefix(p: str, m: int, k: int) -> SeriesSpec:
     terms = []
     for v, occ in _occurrence_counts(p):
         if v in head:
-            if occ < 2:
-                raise ValueError(f"determined variable {v} occurs only once")
             terms.append((1, occ - 1))
         else:
             terms.append((m, occ))

@@ -42,7 +42,7 @@ class AEMatrix:
 
 @dataclass(frozen=True)
 class AEResult:
-    pattern: Pattern
+    pattern: str
     matrix: AEMatrix
     beta: float
     ae: float
@@ -80,4 +80,4 @@ def avoidability_exponent(p: str) -> AEResult:
     """AE(p) = 1 + 1/(beta + 1) with beta the Perron root of ae_matrix(p)."""
     mat = ae_matrix(p)
     beta = perron_root(mat)
-    return AEResult(Pattern(p), mat, beta, 1.0 + 1.0 / (beta + 1.0))
+    return AEResult(p, mat, beta, 1.0 + 1.0 / (beta + 1.0))

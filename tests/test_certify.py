@@ -15,7 +15,7 @@ from avoidance.certify import (
     parse_morphism,
     verify_entry,
 )
-from avoidance.patterns import Pattern, find_occurrence, is_doubled
+from avoidance.patterns import Pattern, canonicalize, find_occurrence, is_doubled
 from avoidance.spectral import avoidability_exponent
 from avoidance.words import count_free_words
 
@@ -88,7 +88,7 @@ class TestCorpus:
 
     def test_entries_are_well_formed(self):
         for e in corpus():
-            assert is_doubled(e.pattern) and e.pattern.is_canonical
+            assert is_doubled(e.pattern) and canonicalize(e.pattern) == e.pattern
             assert e.morphism.domain_size == 5
             assert e.morphism_id == str(e.pattern).lower()
             assert all(set(img) <= {"0", "1"} for img in e.morphism.images)
@@ -130,6 +130,15 @@ class TestVerifyEntry:
         assert rep.image_cap == 2 * e.morphism.uniform_len
         # one report per (5/4+)-free preimage of length 1..3
         assert rep.preimages_checked == sum(count_free_words(5, Fraction(5, 4), 3)[1:])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_preimages_range_over_the_morphism_domain(self, k):
+        # a cap below |AA| finds nothing, so every free preimage is counted
+        m = Morphism(tuple(format(d, "03b") for d in range(k)))
+        rep = verify_entry(CorpusEntry(Pattern("AA"), m, 0.0),
+                           max_preimage_len=4, image_cap=1)
+        assert rep.passed
+        assert rep.preimages_checked == sum(count_free_words(k, Fraction(5, 4), 4)[1:])
 
     def test_cap_and_depth_are_recorded(self):
         e = corpus()[0]

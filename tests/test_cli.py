@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import string
 from importlib import resources
 from pathlib import Path
@@ -409,6 +411,47 @@ class TestVerify:
                              "--morphism", str(f))
         assert (code, out) == (2, "")
         assert err == "error: pattern must be non-empty\n"
+
+    def test_morphism_without_pattern_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "tm.txt"
+        f.write_text("0 -> 01\n1 -> 10\n")
+        code, out, err = run(capsys, "verify", "--morphism", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: --morphism requires --pattern\n"
+
+    def test_empty_entry_names_no_corpus_entry(self, capsys):
+        # an empty name is given, not absent: it must not verify all ten
+        code, out, err = run(capsys, "verify", "--entry", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no corpus entry")
+
+    def test_empty_morphism_path_is_a_file_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--pattern", "AA",
+                             "--morphism", "")
+        assert (code, out) == (2, "")
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
+        assert err == f"error: {missing}\n"
+
+    def test_six_letter_morphism_reads_its_sixth_image(self, capsys, tmp_path):
+        # h(5) alone contains ABACBDCD; preimages must range over 0-5
+        corpus_file = resources.files("avoidance").joinpath(
+            "data/morphisms/abacbdcd.txt")
+        f = tmp_path / "m6.txt"
+        f.write_text(corpus_file.read_text() + "5 -> " + "0" * 17 + "\n")
+        code, out, _ = run(capsys, "verify", "--pattern", "ABACBDCD",
+                           "--morphism", str(f))
+        assert code == 1
+        assert out.startswith("ABACBDCD len<=6 cap=34 preimages=7 "
+                              "counterexample preimage=012305 ")
+
+    def test_two_letter_morphism_streams_binary_preimages(self, capsys, tmp_path):
+        # the (5/4+)-free binary words are 0, 01, 1, 10
+        f = tmp_path / "tm.txt"
+        f.write_text("0 -> 01\n1 -> 10\n")
+        code, out, err = run(capsys, "verify", "--pattern", "AAA",
+                             "--morphism", str(f))
+        assert (code, err) == (0, "")
+        assert out == "AAA len<=6 cap=4 preimages=4 pass\n"
 
     def test_entry_with_morphism_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "tm.txt"

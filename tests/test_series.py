@@ -94,7 +94,7 @@ class TestSpecPrefix:
 
     def test_rejects_once_occurring_prefix_variable(self):
         with pytest.raises(ValueError):
-            spec_prefix("ABCC", 3, 2)  # B never recurs
+            spec_prefix("ABCC", 3, 2)  # B never recurs: not doubled
 
     @pytest.mark.parametrize("p, k", [("A", 1), ("AA", 1), ("ABAB", 2),
                                       ("ABCDABCD", 4), ("ABCADBDC", 3)])
