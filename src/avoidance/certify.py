@@ -18,6 +18,7 @@ patterns.map_workers; reports and counts are the same for any worker count.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,8 @@ from typing import Optional
 
 from .patterns import Occurrence, Pattern, find_occurrence, map_workers
 from .series import certify_threeavoidable, check_bound_against_counts
-from .words import DISPLAY, MAX_ALPHABET, generate_free_words, letter_indices
+from .words import (DISPLAY, MAX_ALPHABET, generate_free_words, grow,
+                    letter_indices)
 
 FREE_EXPONENT = Fraction(5, 4)
 DEFAULT_PREIMAGE_LEN = 6
@@ -199,53 +201,34 @@ def _search_window(job) -> Optional[Occurrence]:
 
 def count_avoiding(p: str, m: int, up_to: int, workers: int = 1) -> list[int]:
     """n_i = number of words of length i over Sigma_m with no occurrence of
-    p, for i = 0..up_to, by DFS over the prefix tree, one job per first
-    letter.
-
-    After each appended letter only occurrences ending at the new position
-    are tested: the avoiding language is factorial, so any other occurrence
-    was already caught when its own end position was appended.
+    p, for i = 0..up_to, by DFS over the prefix tree (words.grow), one job
+    per first letter; each new word is searched only for occurrences
+    ending at its last letter.
     """
     pat = Pattern(p)
     if not 1 <= m <= MAX_ALPHABET:
         raise ValueError(f"alphabet size {m} outside 1..{MAX_ALPHABET}")
     if up_to < 0:
         raise ValueError(f"up_to must be non-negative, got {up_to}")
-    counts = [1] + [0] * up_to
     jobs = [(first, str(pat), m, up_to) for first in range(m)] if up_to else []
-    for sub in map_workers(_count_shard, jobs, workers):
-        for i, c in enumerate(sub):
-            counts[i] += c
-    return counts
+    lengths = sum(map_workers(_count_shard, jobs, workers), Counter())
+    return [1] + [lengths[n] for n in range(1, up_to + 1)]
 
 
-def _count_shard(args) -> list[int]:
+def _count_shard(args) -> Counter:
     first, p, m, up_to = args
-    counts = [0] * (up_to + 1)
     plen = len(p)
-    letters = DISPLAY[:m]
-
-    def rec(w: str) -> None:
-        if len(w) >= plen and \
-                find_occurrence(p, w, min_end=len(w)) is not None:
-            return
-        counts[len(w)] += 1
-        if len(w) < up_to:
-            for a in letters:
-                rec(w + a)
-
-    rec(DISPLAY[first])
-    return counts
+    avoiders = grow(DISPLAY[first], DISPLAY[:m], up_to, lambda w: len(w) < plen
+                    or find_occurrence(p, w, min_end=len(w)) is None)
+    return Counter(map(len, avoiders))
 
 
-def cross_check(p: str, m: int, up_to: int) -> bool:
-    """Certify p by series over a ternary alphabet, count avoiders by DFS,
-    and confirm n_i >= x0^{-i} at every tested length."""
+def cross_check(p: str, up_to: int) -> bool:
+    """Certify p by series, count its avoiders over the certificate's
+    alphabet by DFS over the prefix tree (words.grow), and confirm
+    n_i >= x0^{-i} at every tested length."""
     report = certify_threeavoidable(p)
     if not report.conclusive:
         raise ValueError(f"series method is inconclusive for {p}")
-    best = report.best
-    if m != best.spec.m:
-        raise ValueError(f"certificate is for alphabet size {best.spec.m}, not {m}")
-    counts = count_avoiding(p, m, up_to)
-    return check_bound_against_counts(best.spec, counts)
+    spec = report.best.spec
+    return check_bound_against_counts(spec, count_avoiding(p, spec.m, up_to))

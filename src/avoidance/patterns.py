@@ -89,8 +89,11 @@ class Occurrence:
 
 def canonicalize(raw: str) -> Pattern:
     """Rename the symbols of raw, any symbols, to A, B, ... by order of
-    first appearance; idempotent."""
-    return Pattern("".join(VARS[i] for i in variables(raw)[1]))
+    first appearance; idempotent. ValueError beyond 26 distinct symbols."""
+    order, indices = variables(raw)
+    if len(order) > len(VARS):
+        raise ValueError(f"{len(order)} symbols exceed the 26 variables A-Z")
+    return Pattern("".join(VARS[i] for i in indices))
 
 
 def reverse(p: str) -> Pattern:

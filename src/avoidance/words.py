@@ -1,5 +1,6 @@
 """Words over small alphabets: periods, fractional exponents, and
-generation of alpha+-free words.
+generation of alpha+-free words by grow, the one depth-first walker for
+both factorial languages (certify counts pattern avoiders with it too).
 
 A word is a plain str over the display alphabet '0'-'9' then 'a'-'p'
 (alphabet sizes up to 26). Words that come from outside the program are
@@ -11,8 +12,9 @@ by integer cross-multiplication, never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 DISPLAY = "0123456789abcdefghijklmnop"
 MAX_ALPHABET = len(DISPLAY)
@@ -87,13 +89,11 @@ def is_alpha_plus_free(w: str, alpha: Fraction) -> bool:
 
 
 def _extension_ok(w: str, num: int, den: int) -> bool:
-    """Check only suffixes ending at the last letter of w.
+    """Check only suffixes ending at the last letter of w, as grow needs.
 
-    Sound for incremental generation: every other factor was certified
-    when its own last letter was appended. For each shift p, the longest
-    suffix of period p has length p + (longest common suffix of the word
-    and itself shifted by p); exponent > alpha for some suffix iff it
-    holds for one of these maximal ones.
+    For each shift p, the longest suffix of period p has length p +
+    (longest common suffix of the word and itself shifted by p); exponent
+    > alpha for some suffix iff it holds for one of these maximal ones.
     """
     n = len(w)
     for p in range(1, n):
@@ -107,36 +107,48 @@ def _extension_ok(w: str, num: int, den: int) -> bool:
     return True
 
 
-def generate_free_words(k: int, alpha: Fraction, max_len: int) -> Iterator[str]:
-    """Stream every alpha+-free word over Sigma_k with 1 <= |w| <= max_len.
+def grow(roots: Iterable[str], letters: str, max_len: int,
+         ok: Callable[[str], bool]) -> Iterator[str]:
+    """Depth-first walk of a factorial language: each word that passes ok,
+    from the roots extended by letters while shorter than max_len, in
+    lexicographic order with prefixes first. A failing word's subtree is
+    never entered, so ok need only test the factors ending at the last
+    letter: the others were tested when their own last letter was added.
 
-    Emission is in lexicographic order with prefixes first (depth-first
-    extension); a branch dies as soon as a suffix ending at the new
-    letter exceeds the exponent bound.
+    >>> tested = []
+    >>> list(grow("01", "01", 2, lambda w: tested.append(w) or w != "1"))
+    ['0', '00', '01']
+    >>> tested  # '10' and '11' are never tested
+    ['0', '00', '01', '1']
     """
+    stack = list(roots)[::-1]
+    backwards = letters[::-1]
+    while stack:
+        w = stack.pop()
+        if ok(w):
+            yield w
+            if len(w) < max_len:
+                stack.extend([w + a for a in backwards])
+
+
+def generate_free_words(k: int, alpha: Fraction, max_len: int) -> Iterator[str]:
+    """Stream every alpha+-free word over Sigma_k with 1 <= |w| <= max_len
+    in grow's order from the one-letter words; a branch dies as soon as a
+    suffix ending at the new letter exceeds the exponent bound."""
     if k < 1 or k > MAX_ALPHABET:
         raise ValueError(f"alphabet size {k} out of range")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     num, den = alpha.numerator, alpha.denominator
     letters = DISPLAY[:k]
-
-    def rec(w: str) -> Iterator[str]:
-        for a in letters:
-            w2 = w + a
-            if _extension_ok(w2, num, den):
-                yield w2
-                if len(w2) < max_len:
-                    yield from rec(w2)
-
     if max_len >= 1:
-        yield from rec("")
+        yield from grow(letters, letters, max_len,
+                        lambda w: _extension_ok(w, num, den))
 
 
 def count_free_words(k: int, alpha: Fraction, max_len: int) -> list[int]:
     """Counts per length of the stream above; index 0 counts the empty word."""
-    counts = [0] * (max_len + 1)
-    counts[0] = 1
-    for w in generate_free_words(k, alpha, max_len):
-        counts[len(w)] += 1
-    return counts
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    lengths = Counter(map(len, generate_free_words(k, alpha, max_len)))
+    return [1] + [lengths[n] for n in range(1, max_len + 1)]

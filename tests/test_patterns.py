@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,12 @@ def test_canonicalize_first_appearance_order():
     assert str(canonicalize("CACB")) == "ABAC"
     p = canonicalize("ZYZ")
     assert str(canonicalize(p)) == str(p)  # idempotent
+
+
+def test_canonicalize_rejects_more_symbols_than_variables():
+    assert canonicalize(string.ascii_lowercase) == string.ascii_uppercase
+    with pytest.raises(ValueError, match="26 variables"):
+        canonicalize(string.ascii_lowercase + "0")
 
 
 def test_reverse_example():

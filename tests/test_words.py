@@ -124,6 +124,26 @@ def test_count_zero_length():
     assert count_free_words(3, Fraction(2), 0) == [1]
 
 
+def test_count_rejects_negative_length():
+    with pytest.raises(ValueError, match="non-negative"):
+        count_free_words(3, Fraction(2), -1)
+
+
+def test_stream_tests_each_extension_once(monkeypatch):
+    # one _extension_ok call per one-letter root and per child of each of
+    # the 445 emitted words shorter than the bound: 5 + 5 * 445 = 2230
+    tested = []
+    real = words._extension_ok
+
+    def counting(w, num, den):
+        tested.append(w)
+        return real(w, num, den)
+
+    monkeypatch.setattr(words, "_extension_ok", counting)
+    assert sum(1 for _ in generate_free_words(5, Fraction(5, 4), 6)) == 805
+    assert len(tested) == 2230
+
+
 def test_binary_two_plus_free_contains_thue_morse_prefix():
     free = set(generate_free_words(2, Fraction(2), 8))
     assert "01101001" in free
