@@ -16,12 +16,15 @@ reproduces the sporadic candidate lists up to reversal symmetry.
 The backtracking tries image lengths in increasing order and prunes with
 where each variable must occur again: the image of a variable that recurs
 in p has to reappear in w past the least length of the pattern letters in
-between. In a doubled pattern every variable recurs, so image lengths are
-bounded by the repeats of the host word, which are short in the images of
-(5/4+)-free words that the corpus morphisms produce. A search restricted
-to occurrences ending at the end of the word (min_end = |w|, every
-extension test of avoider counting) first matches the mirrored pattern at
-the start of the mirrored word and stops there if that fails.
+between, and early enough to leave room for the least length of the
+letters after that copy. In a doubled pattern every variable recurs, so
+image lengths are bounded by the repeats of the host word, which are short
+in the images of (5/4+)-free words that the corpus morphisms produce. A
+search restricted to occurrences ending at or past min_end > 0 is anchored
+at the end: it first matches the mirrored pattern in the mirrored word at
+each end from |w| down to min_end, and stops there if none matches. That
+is one end for each extension test of avoider counting (min_end = |w|) and
+the q ends of the last block of a verify window.
 """
 
 from __future__ import annotations
@@ -121,11 +124,15 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
 
     - recurrence: a variable that occurs again later in p needs its image
       to occur again at least `gap` letters past its end, `gap` being the
-      least length of the pattern letters in between; once a length fails
-      that, every longer one does, and the binding loop stops;
-    - suffix mirror: when min_end >= len(w) an occurrence must end at the
-      end of w, so the reversed pattern is first matched at position 0 of
-      the reversed word, and the forward search runs only if that succeeds.
+      least length of the pattern letters in between, and to end early
+      enough to leave the least length of the pattern letters after that
+      copy before the limit; neither bound depends on the image length, so
+      once a length fails, every longer one does, and the binding loop
+      stops;
+    - end anchor: when min_end > 0 an occurrence must end at one of the
+      positions min_end..len(w), so the reversed pattern is first matched
+      in the reversed word from each of those ends, and the forward search
+      runs only if one succeeds.
 
     max_image_total caps |h(p)| (default |w|); a negative cap is a
     ValueError. min_end keeps only occurrences ending at position >=
@@ -140,10 +147,15 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
     budget = n if max_image_total is None or max_image_total > n else max_image_total
     if plen == 0 or budget < plen or n < plen or min_end > n:
         return None
-    if min_end == n:
+    if min_end > 0:
+        # an occurrence ending at n - s is a mirrored one starting at s; no
+        # min()/max() in this loop: they made avoider counting 5-10% slower
         mirror, _, _ = _matcher(p[::-1], w[::-1], 0)
-        if mirror(0, 0, budget) < 0:
-            return None
+        s = 0
+        while mirror(0, s, s + budget if s + budget < n else n) < 0:
+            s += 1
+            if s > n - min_end or s > n - plen:
+                return None
     match, images, order = _matcher(p, w, min_end)
     for start in range(max(0, min_end - budget), n - plen + 1):
         end = match(0, start, min(n, start + budget))
@@ -200,9 +212,11 @@ def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
                 other = images[u]
                 rest += 1 if other is None else len(other)
         lmax = (limit - pos - rest) // (1 + same)
+        # the next copy of v must leave room for the least length after it
+        bound = limit - (rest - gap) - (same - 1)
         for l in range(1, lmax + 1):
             img = w[pos:pos + l]
-            if same and find(img, pos + l + gap, limit) < 0:
+            if same and find(img, pos + l + gap, bound) < 0:
                 break
             images[v] = img
             end = match(t + 1, pos + l, limit)

@@ -134,21 +134,21 @@ def grow(roots: Iterable[str], letters: str, max_len: int,
 def generate_free_words(k: int, alpha: Fraction, max_len: int) -> Iterator[str]:
     """Stream every alpha+-free word over Sigma_k with 1 <= |w| <= max_len
     in grow's order from the one-letter words; a branch dies as soon as a
-    suffix ending at the new letter exceeds the exponent bound."""
+    suffix ending at the new letter exceeds the exponent bound. The
+    arguments are checked at the call, before the first word."""
     if k < 1 or k > MAX_ALPHABET:
         raise ValueError(f"alphabet size {k} out of range")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     num, den = alpha.numerator, alpha.denominator
     letters = DISPLAY[:k]
-    if max_len >= 1:
-        yield from grow(letters, letters, max_len,
-                        lambda w: _extension_ok(w, num, den))
+    return grow(letters if max_len else "", letters, max_len,
+                lambda w: _extension_ok(w, num, den))
 
 
 def count_free_words(k: int, alpha: Fraction, max_len: int) -> list[int]:
     """Counts per length of the stream above; index 0 counts the empty word."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be non-negative, got {max_len}")
     lengths = Counter(map(len, generate_free_words(k, alpha, max_len)))
     return [1] + [lengths[n] for n in range(1, max_len + 1)]

@@ -24,6 +24,23 @@ import oracles
 
 CORPUS_SHA256 = "5e8d0c93b32554a70e653aacdf4911e3b371ddf1e5ff8c328f6162a059bb68e1"
 UNIFORM_LENGTHS = [17, 33, 28, 21, 22, 26, 33, 15, 18, 22]
+# the counterexample at cap 3q when the image of letter d = 0..4 is unary:
+# at preimage FIRST_USE[d], at these starts, every variable mapped to "0"
+# except A in ABACDBDECE
+FIRST_USE = ("0", "01", "012", "0123", "012304")
+UNARY_STARTS_AT_THREE_Q = {
+    "ABACBDCD": (0, 16, 33, 51, 84),
+    "ABACDBDC": (0, 33, 66, 99, 165),
+    "ABACDCBD": (0, 28, 56, 84, 140),
+    "ABCADBDC": (0, 20, 42, 63, 104),
+    "ABCADCBD": (0, 22, 44, 66, 110),
+    "ABCADCDB": (0, 26, 52, 78, 130),
+    "ABCBDADC": (0, 33, 66, 99, 165),
+    "ABACBDCEDE": (0, 11, 30, 42, 71),
+    "ABACDBCEDE": (0, 18, 36, 54, 90),
+    "ABACDBDECE": (0, 17, 41, 63, 105),
+}
+UNARY_A_AT_THREE_Q = {"ABACDBDECE": ("0", "11", "1", "1", "11")}
 
 
 class TestMorphism:
@@ -157,9 +174,7 @@ class TestVerifyEntry:
         a = verify_entry(e, max_preimage_len=3)
         assert a == verify_entry(e, max_preimage_len=3, workers=2)
 
-    @pytest.mark.parametrize("letter, first_use",
-                             [(0, "0"), (1, "01"), (2, "012"), (3, "0123"),
-                              (4, "012304")])
+    @pytest.mark.parametrize("letter, first_use", enumerate(FIRST_USE))
     def test_parallel_matches_serial_on_counterexamples(self, letter, first_use):
         # a unary image is caught at the first preimage using its letter,
         # which for letters past 0 is not the first preimage of the stream
@@ -197,6 +212,44 @@ class TestVerifyEntry:
             rep = verify_entry(e, image_cap=cap)
             assert rep.passed, (str(e.pattern), rep.counterexample)
             assert (rep.preimages_checked, rep.effective_cap) == (805, cap)
+
+    def test_one_search_per_window(self, monkeypatch):
+        # at cap q a window is 2 letters: 5 + 20 free suffixes per entry;
+        # at cap 2q it is 3 letters: 5 + 20 + 60
+        calls = 0
+        real = certify.find_occurrence
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "find_occurrence", counting)
+        for e in corpus():
+            assert verify_entry(e, image_cap=e.morphism.uniform_len).passed
+        assert calls == 250
+        calls = 0
+        assert verify_entry(corpus()[0], image_cap=34).passed
+        assert calls == 85
+
+    @pytest.mark.parametrize("entry, starts", UNARY_STARTS_AT_THREE_Q.items())
+    def test_unary_images_are_caught_at_three_times_the_uniform_length(
+            self, entry, starts):
+        # the window is 4 blocks and only occurrences ending in the last
+        # one count, so the search is anchored at the end mid-window
+        (e,) = [e for e in corpus() if e.pattern == entry]
+        q = e.morphism.uniform_len
+        found = zip(FIRST_USE, starts, UNARY_A_AT_THREE_Q.get(entry, "00000"))
+        for letter, (first_use, start, a_image) in enumerate(found):
+            images = list(e.morphism.images)
+            images[letter] = "0" * q
+            bad = CorpusEntry(e.pattern, Morphism(tuple(images)), e.ae)
+            rep = verify_entry(bad, image_cap=3 * q)
+            preimage, occ = rep.counterexample
+            assert preimage == first_use
+            assert occ.start == start
+            assert occ.images == {v: a_image if v == "A" else "0"
+                                  for v in str(e.pattern)}
 
     def test_windows_searched_stops_growing_at_window_length(self):
         # at the default cap 2q the window is 3 letters, so preimages longer

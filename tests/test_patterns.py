@@ -147,14 +147,29 @@ def test_occurrence_agrees_with_brute_oracle(p, w):
 @given(st.text(alphabet="ABC", min_size=1, max_size=5),
        st.text(alphabet="01", min_size=0, max_size=9), st.data())
 def test_occurrence_is_the_first_one_of_the_brute_oracle(raw, w, data):
-    # doubled and non-doubled patterns; min_end = len(w) is the suffix
-    # mirror path, min_end > len(w) admits nothing
+    # doubled and non-doubled patterns; min_end = len(w) anchors at one
+    # end, min_end > len(w) admits nothing
     p = canonicalize(raw)
     cap = data.draw(st.one_of(st.none(), st.integers(0, len(w) + 1)))
     min_end = data.draw(st.one_of(st.just(len(w)),
                                   st.integers(0, len(w) + 1)))
     got = find_occurrence(p, w, cap, min_end)
     want = oracles.brute_first_occurrence(str(p), w, cap, min_end)
+    assert (None if got is None else (got.start, got.images)) == want
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 3).flatmap(
+           lambda v: st.permutations("AABBCC"[:2 * v]).map("".join)),
+       st.text(alphabet="01", min_size=2, max_size=12), st.data())
+def test_mid_window_anchor_finds_the_first_occurrence(raw, w, data):
+    # 0 < min_end < len(w): the end anchor tries every end from len(w) down
+    # to min_end before the forward search reports the first occurrence
+    p = canonicalize(raw)
+    min_end = data.draw(st.integers(1, len(w) - 1))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, len(w))))
+    got = find_occurrence(p, w, cap, min_end)
+    want = oracles.brute_first_occurrence(p, w, cap, min_end)
     assert (None if got is None else (got.start, got.images)) == want
 
 

@@ -129,6 +129,21 @@ def test_count_rejects_negative_length():
         count_free_words(3, Fraction(2), -1)
 
 
+@pytest.mark.parametrize("k, alpha, max_len, message",
+                         [(0, Fraction(2), 3, "alphabet size"),
+                          (27, Fraction(2), 3, "alphabet size"),
+                          (3, Fraction(1, 2), 3, "alpha"),
+                          (3, Fraction(2), -1, "non-negative")])
+def test_generator_checks_arguments_at_the_call(k, alpha, max_len, message):
+    # the error comes before any word is asked for, not at the first next()
+    with pytest.raises(ValueError, match=message):
+        generate_free_words(k, alpha, max_len)
+
+
+def test_generator_of_length_zero_yields_nothing():
+    assert list(generate_free_words(3, Fraction(2), 0)) == []
+
+
 def test_stream_tests_each_extension_once(monkeypatch):
     # one _extension_ok call per one-letter root and per child of each of
     # the 445 emitted words shorter than the bound: 5 + 5 * 445 = 2230
