@@ -10,6 +10,7 @@ conclusion was requested, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -61,6 +62,8 @@ def _root_text(res: series.RootResult) -> str:
 
 def cmd_series(args):
     p = patterns.Pattern(args.pattern)
+    if args.prefix_len is not None and args.strategy != "prefix":
+        raise ValueError("--prefix-len works with --strategy prefix only")
     if args.strategy == "certify":
         if args.alphabet not in (None, 3):
             raise ValueError("--strategy certify works over 3 letters only; "
@@ -141,6 +144,10 @@ def cmd_verify(args):
     reports = [certify.verify_entry(e, args.max_preimage_len, args.image_cap,
                                     workers=args.workers)
                for e in entries]
+    if args.morphism is not None:
+        # the report names the file that was checked, not a corpus entry
+        reports = [dataclasses.replace(r, morphism_id=args.morphism)
+                   for r in reports]
     return ([_report_json(r) for r in reports],
             [_report_text(r) for r in reports],
             0 if all(r.passed for r in reports) else 1)

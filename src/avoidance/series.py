@@ -1,17 +1,20 @@
 """Power-series growth certificates for pattern-avoiding languages.
 
-A spec represents P(x) = 1 - m*x + prod_j ( c_j x^{w_j} / (1 - c_j x^{w_j}) ).
-A positive root x0 of P certifies that the language has at least x0^{-i}
-words of each length i, hence exponential growth 1/x0. Two ways of reading
-a doubled pattern yield specs: counting every variable freely ("full"), or
-treating the variables of an all-distinct prefix as determined by the rest
-("prefix").
+A spec represents P(x) = 1 - m*x + prod_j ( c_j x^{w_j} / (1 - c_j x^{w_j}) ),
+with m and every c_j, w_j an integer. A positive root x0 of P certifies that
+the language has at least x0^{-i} words of each length i, hence exponential
+growth 1/x0. One term rule turns a doubled pattern into a spec: a variable
+of a chosen all-distinct head is determined by the rest and gives
+(1, occurrences - 1), every other variable is free and gives
+(m, occurrences). The "full" strategy takes an empty head, "prefix" the
+first k symbols.
 
 The product is a power series with non-negative coefficients, so on
 [0, pole_radius) P is convex and at least 1 - m*x. Its first root is found
-by Newton's method from 1/m and reported only with a bracket of
-BRACKET_WIDTH whose sign change is proven in integer arithmetic; without
-one the root is absent, and scan_min is the minimum of P.
+by Newton's method from 1/m, each step reading P and P' from one pass over
+the terms, and reported only with a bracket of BRACKET_WIDTH whose sign
+change is proven in integer arithmetic; without one the root is absent,
+and scan_min is the minimum of P.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ class SeriesSpec:
     terms: tuple[tuple[int, int], ...]  # (c_j, w_j), c_j >= 1, w_j >= 1
 
     def __post_init__(self) -> None:
+        # _exact's sign check is a proof only in integer arithmetic
+        values = (self.m, *(v for term in self.terms for v in term))
+        if not all(isinstance(v, int) for v in values):
+            raise ValueError(f"m={self.m!r} and terms {self.terms!r} "
+                             "must be integers")
         if self.m < 1:
             raise ValueError(f"alphabet size m={self.m} must be at least 1")
         if not self.terms:
@@ -57,16 +65,20 @@ class RootResult:
         return self.root is not None
 
 
-def _occurrence_counts(p: str) -> list[tuple[str, int]]:
-    return [(v, p.count(v)) for v in variables(p)[0]]
+def _spec(p: str, m: int, head: str) -> SeriesSpec:
+    """The term rule: (1, occ - 1) for each variable of head, determined by
+    the rest, and (m, occ) for every other, free variable."""
+    if not is_doubled(p):
+        raise ValueError(f"{p} is not doubled; a lone variable defeats the count")
+    return SeriesSpec(m, tuple(
+        (1, p.count(v) - 1) if v in head else (m, p.count(v))
+        for v in variables(p)[0]))
 
 
 def spec_full(p: str, m: int) -> SeriesSpec:
     """One term (m, occurrences of X_j) per variable: every image letter is
     a free choice."""
-    if not is_doubled(p):
-        raise ValueError(f"{p} is not doubled; a lone variable defeats the count")
-    return SeriesSpec(m, tuple((m, occ) for _, occ in _occurrence_counts(p)))
+    return _spec(p, m, "")
 
 
 def distinct_prefix_len(p: str) -> int:
@@ -83,20 +95,12 @@ def spec_prefix(p: str, m: int, k: int) -> SeriesSpec:
     """Terms for a pattern whose first k symbols are k distinct variables:
     those variables are determined by the tail, contributing (1, occ-1);
     the remaining variables stay free with (m, occ)."""
-    if not is_doubled(p):
-        raise ValueError(f"{p} is not doubled")
     if k < 1:
         raise ValueError(f"prefix length k={k} must be at least 1")
     head = p[:k]
     if len(head) < k or len(set(head)) != k:
         raise ValueError(f"first {k} symbols of {p} are not distinct")
-    terms = []
-    for v, occ in _occurrence_counts(p):
-        if v in head:
-            terms.append((1, occ - 1))
-        else:
-            terms.append((m, occ))
-    return SeriesSpec(m, tuple(terms))
+    return _spec(p, m, head)
 
 
 def evaluate(spec: SeriesSpec, x: float) -> float:
@@ -110,15 +114,16 @@ def evaluate(spec: SeriesSpec, x: float) -> float:
     return 1.0 - spec.m * x + prod
 
 
-def _slope(spec: SeriesSpec, x: float) -> float:
-    """P'(x) for 0 < x < pole_radius: each factor g = t/(1-t), t = c x^w,
-    has g'/g = w / (x (1-t))."""
+def _value_and_slope(spec: SeriesSpec, x: float) -> tuple[float, float]:
+    """(P(x), P'(x)) for 0 < x < pole_radius from one pass over the terms;
+    P is evaluate's, bit for bit. Each factor g = t/(1-t), t = c x^w, has
+    g'/g = w / (x (1-t))."""
     prod, rate = 1.0, 0.0
     for c, w in spec.terms:
         t = c * x ** w
         prod *= t / (1.0 - t)
         rate += w / (1.0 - t)
-    return prod * rate / x - spec.m
+    return 1.0 - spec.m * x + prod, prod * rate / x - spec.m
 
 
 def _exact(spec: SeriesSpec, x: Fraction) -> Optional[tuple[int, int]]:
@@ -163,11 +168,11 @@ def smallest_positive_root(spec: SeriesSpec) -> RootResult:
     lo, hi = 0.0, spec.pole_radius  # P' < 0 at lo unless lo = 0
     x = 1.0 / spec.m
     while x < hi:
-        slope = _slope(spec, x)
+        value, slope = _value_and_slope(spec, x)
         if slope >= 0.0:
             hi = x
             break
-        lo, nxt = x, x - evaluate(spec, x) / slope
+        lo, nxt = x, x - value / slope
         if nxt <= x:
             # converged: P(x) <= 0 in floating point, or the step vanished
             half = Fraction(BRACKET_WIDTH) / 2
@@ -180,7 +185,7 @@ def smallest_positive_root(spec: SeriesSpec) -> RootResult:
         x = nxt
     while hi - lo > BRACKET_WIDTH:
         mid = (lo + hi) / 2
-        if _slope(spec, mid) < 0.0:
+        if _value_and_slope(spec, mid)[1] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -218,16 +223,13 @@ def certify_threeavoidable(p: str) -> CertificationReport:
     strategy here comes back inconclusive.
     """
     pat = Pattern(p)
-    attempts = [Attempt("full", *_try(spec_full(pat, 3)))]
+    specs = {"full": spec_full(pat, 3)}
     for k in range(2, distinct_prefix_len(pat) + 1):
         # one string per strategy name, however many reports a caller keeps
-        name = sys.intern(f"prefix{k}")
-        attempts.append(Attempt(name, *_try(spec_prefix(pat, 3, k))))
-    return CertificationReport(pat, tuple(attempts))
-
-
-def _try(spec: SeriesSpec) -> tuple[SeriesSpec, RootResult]:
-    return spec, smallest_positive_root(spec)
+        specs[sys.intern(f"prefix{k}")] = spec_prefix(pat, 3, k)
+    return CertificationReport(pat, tuple(
+        Attempt(name, spec, smallest_positive_root(spec))
+        for name, spec in specs.items()))
 
 
 def check_bound_against_counts(spec: SeriesSpec, counts) -> bool:

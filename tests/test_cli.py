@@ -193,6 +193,15 @@ class TestSeries:
         assert (code, out) == (2, "")
         assert "error:" in err
 
+    @pytest.mark.parametrize("strategy", [(), ("--strategy", "certify"),
+                                          ("--strategy", "full")])
+    def test_prefix_len_outside_prefix_strategy_is_usage_error(
+            self, capsys, strategy):
+        code, out, err = run(capsys, "series", "--pattern", "ABAB",
+                             *strategy, "--prefix-len", "2")
+        assert (code, out) == (2, "")
+        assert "error:" in err and "--prefix-len" in err
+
     def test_prefix_len_zero_is_usage_error(self, capsys):
         code, out, err = run(capsys, "series", "--pattern", "AABB",
                              "--strategy", "prefix", "--prefix-len", "0")
@@ -385,6 +394,17 @@ class TestVerify:
         assert reports[0]["passed"] is True
         assert reports[0]["preimages_checked"] == 5
         assert reports[0]["windows_searched"] == 5
+        assert reports[0]["morphism_id"] == "abacbdcd"
+
+    def test_custom_morphism_is_named_by_its_file(self, capsys):
+        # the corpus morphism of another pattern, checked against ABACBDCD
+        path = str(resources.files("avoidance")
+                   / "data/morphisms/abacdbdc.txt")
+        _, out, _ = run(capsys, "verify", "--pattern", "ABACBDCD",
+                        "--morphism", path, "--max-preimage-len", "2",
+                        "--json")
+        (report,) = json.loads(out)
+        assert report["morphism_id"] == path
 
     def test_non_positive_workers_is_usage_error(self, capsys):
         code, out, err = run(

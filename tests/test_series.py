@@ -11,13 +11,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from avoidance.patterns import Pattern, doubled_patterns_upto
 from avoidance.series import (
     BRACKET_WIDTH,
     SeriesSpec,
+    _value_and_slope,
     certify_threeavoidable,
     check_bound_against_counts,
     distinct_prefix_len,
@@ -46,6 +47,16 @@ class TestSeriesSpec:
             SeriesSpec(m=m, terms=((1, 1), (1, 1)))
         with pytest.raises(ValueError, match="alphabet"):
             spec_prefix("ABAB", m, 2)
+
+    @pytest.mark.parametrize("m,terms", [
+        (2.5, ((1, 2), (1, 2))),  # once reported a root with a float "proof"
+        (3, ((3, 1.5), (3, 2))),
+        (3, ((3.0, 2),)),
+    ])
+    def test_rejects_non_integers(self, m, terms):
+        # the sign check of a root's bracket is a proof only on integers
+        with pytest.raises(ValueError, match="integers"):
+            SeriesSpec(m=m, terms=terms)
 
     def test_pole_radius(self):
         spec = SeriesSpec(m=3, terms=((3, 2),))
@@ -119,6 +130,21 @@ class TestEvaluate:
         assert abs(
             evaluate(SeriesSpec(m=3, terms=((3, 3), (3, 2), (3, 2), (3, 2))), 0.34)
         ) < 1e-3
+
+    @given(
+        m=st.integers(1, 7),
+        terms=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 6)),
+                       min_size=1, max_size=5),
+        frac=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    )
+    # a point where reordering the loop's operations changes the last bit
+    @example(m=3, terms=[(1, 1), (1, 1)], frac=0.33)
+    def test_newton_step_value_is_evaluate_bit_for_bit(self, m, terms, frac):
+        # Newton's method reads P from the pass that also gives P'
+        spec = SeriesSpec(m=m, terms=tuple(terms))
+        x = frac * spec.pole_radius
+        assume(0 < x < spec.pole_radius)
+        assert _value_and_slope(spec, x)[0].hex() == evaluate(spec, x).hex()
 
     @pytest.mark.parametrize(
         "m,terms",
