@@ -13,7 +13,9 @@ most cap that ends in the last q-letter block of an image lies in the image
 of the last t = ceil(cap/q) + 1 letters of its preimage, so each distinct
 such suffix is searched once. Preimages longer than t add no window.
 Searches and avoider counting shard over processes with
-patterns.map_workers; reports and counts are the same for any worker count.
+patterns.map_workers, one window or one first letter per job; the third
+pool site is the enumeration, patterns.enumerate_remaining, one candidate
+per job. Reports and counts are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Optional
 
 from .patterns import Occurrence, Pattern, find_occurrence, map_workers
 from .series import certify_threeavoidable, check_bound_against_counts
+from .spectral import avoidability_exponent
 from .words import (DISPLAY, MAX_ALPHABET, generate_free_words, grow,
                     letter_indices)
 
@@ -107,29 +110,22 @@ def load_morphism(path) -> Morphism:
         return parse_morphism(fh.read())
 
 
-# (pattern, avoidability exponent) for the shipped corpus, in file order
-# matching data/morphisms/<pattern lowercased>.txt
-_CORPUS_SPECS = (
-    ("ABACBDCD", 1.381966011),
-    ("ABACDBDC", 1.333333333),
-    ("ABACDCBD", 1.340090632),
-    ("ABCADBDC", 1.292893219),
-    ("ABCADCBD", 1.295597743),
-    ("ABCADCDB", 1.327621756),
-    ("ABCBDADC", 1.302775638),
-    ("ABACBDCEDE", 1.366025404),
-    ("ABACDBCEDE", 1.302775638),
-    ("ABACDBDECE", 1.320416579),
-)
+# the shipped corpus, in file order matching
+# data/morphisms/<pattern lowercased>.txt
+_CORPUS_PATTERNS = ("ABACBDCD", "ABACDBDC", "ABACDCBD", "ABCADBDC", "ABCADCBD",
+                 "ABCADCDB", "ABCBDADC", "ABACBDCEDE", "ABACDBCEDE",
+                 "ABACDBDECE")
 
 
 def corpus() -> list[CorpusEntry]:
-    """The ten shipped entries, uniform lengths 17,33,28,21,22,26,33,15,18,22."""
+    """The ten shipped entries, uniform lengths 17,33,28,21,22,26,33,15,18,22,
+    each with the avoidability exponent spectral computes for its pattern."""
     root = resources.files("avoidance").joinpath("data/morphisms")
     entries = []
-    for name, ae in _CORPUS_SPECS:
+    for name in _CORPUS_PATTERNS:
         text = root.joinpath(f"{name.lower()}.txt").read_text()
-        entries.append(CorpusEntry(Pattern(name), parse_morphism(text), ae))
+        entries.append(CorpusEntry(Pattern(name), parse_morphism(text),
+                                   avoidability_exponent(name).ae))
     return entries
 
 

@@ -13,6 +13,11 @@ An occurrence of a pattern p in a word w is a non-erasing morphism h
 exhaustive backtracking and doubles as a decision procedure; enumeration
 reproduces the sporadic candidate lists up to reversal symmetry.
 
+Canonical patterns are the restricted growth strings. One depth-first walk
+of their prefixes, over every length up to the bound at once, gives both
+the doubled patterns that containment searches for and the candidates of
+the enumeration; each candidate is then searched as its own pool job.
+
 The backtracking tries image lengths in increasing order and prunes with
 where each variable must occur again: the image of a variable that recurs
 in p has to reappear in w past the least length of the pattern letters in
@@ -58,7 +63,10 @@ def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterator:
     the rest never runs, and closing the iterator (or dropping it) shuts
     the pool down with its pending jobs cancelled.
 
-    fn must be a module-level function so the pool can pickle it.
+    fn must be a module-level function so the pool can pickle it. Each of
+    the three callers passes one independent item per job: a verify window
+    (certify.verify_entry), a first letter (certify.count_avoiding), or an
+    enumeration candidate (enumerate_remaining).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -232,47 +240,41 @@ def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
 def doubled_patterns_upto(max_vars: int, max_len: int) -> tuple[str, ...]:
     """All canonical doubled patterns q with v(q) <= max_vars and
     2 <= |q| <= max_len, ordered by (length, lexicographic)."""
+    return tuple(sorted(_doubled_walk(max_vars, max_len, False), key=len))
+
+
+def _doubled_walk(max_vars: int, max_len: int, exactly_twice: bool
+                  ) -> list[str]:
+    """Canonical patterns with 2..max_len letters, at most max_vars
+    variables, and every variable occurring at least twice (exactly twice
+    if requested), in lexicographic order.
+
+    Canonical forms are exactly the restricted growth strings, so this is
+    one depth-first walk of their prefixes, each before its extensions; once
+    counts the variables seen exactly once, and a prefix is extended only
+    while the letters left can still repeat each of them. The walk is its
+    own small recursion rather than a words.grow client: a cold
+    doubled_patterns_upto(4, 10) through grow took about twice as long, and
+    every process of the enumeration pool pays that once.
+    """
     out: list[str] = []
-    for length in range(2, max_len + 1):
-        out.extend(_doubled_of_length(length, max_vars, exactly_twice=False))
-    return tuple(out)
+    counts = [0] * max_vars  # occurrences of each variable in the prefix
 
+    def extend(prefix: str, once: int) -> None:
+        if prefix and not once:
+            out.append(prefix)
+        for v, c in enumerate(counts):
+            after = once + (c == 0) - (c == 1)
+            # each variable seen once needs a letter after this one
+            if after < max_len - len(prefix) and not (exactly_twice and c == 2):
+                counts[v] += 1
+                extend(prefix + VARS[v], after)
+                counts[v] -= 1
+            if not c:
+                break  # only the first unused variable may come next
 
-def _doubled_of_length(length: int, max_vars: int,
-                       exactly_twice: bool) -> list[str]:
-    """Canonical patterns of the given length with every variable occurring
-    at least twice (exactly twice if requested), at most max_vars variables.
-    Canonical forms are exactly the restricted growth strings."""
-    out: list[str] = []
-    seq: list[int] = []
-    counts: list[int] = []
-
-    def rec() -> None:
-        if len(seq) == length:
-            if all(c >= 2 for c in counts):
-                out.append("".join(VARS[i] for i in seq))
-            return
-        rem = length - len(seq)
-        for v in range(len(counts) + 1):
-            if v == len(counts):
-                if v >= max_vars or rem < 2:
-                    break
-                counts.append(0)
-            elif exactly_twice and counts[v] >= 2:
-                continue
-            counts[v] += 1
-            # every deficient variable still needs its missing occurrences
-            need = sum(2 - c for c in counts if c < 2)
-            if need <= rem - 1:
-                seq.append(v)
-                rec()
-                seq.pop()
-            counts[v] -= 1
-            if counts[v] == 0:
-                counts.pop()
-
-    rec()
-    return sorted(out)
+    extend("", 0)
+    return out
 
 
 def pattern_contains_doubled(p: str, max_vars: int
@@ -301,8 +303,9 @@ def find_doubled_factor(p: str) -> Optional[str]:
     return None
 
 
-def _survives_containment(chunk: tuple[str, ...]) -> list[str]:
-    return [p for p in chunk if pattern_contains_doubled(p, len(set(p)) - 1) is None]
+def _avoids_fewer_variables(p: str) -> bool:
+    # one enumeration job: no doubled pattern on fewer variables occurs in p
+    return pattern_contains_doubled(p, len(set(p)) - 1) is None
 
 
 def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
@@ -312,18 +315,18 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
     are certified by the series module, and reversal preserves the
     avoidability index), that contain no doubled occurrence on fewer
     variables, deduplicated modulo reversal keeping the lexicographically
-    smaller form; sorted.
+    smaller form; sorted. The candidates come from the same walk as
+    doubled_patterns_upto, and the containment search runs as one
+    map_workers job per candidate.
     """
     if v not in (4, 5):
         raise ValueError("enumeration is defined for v in {4, 5}")
     k = 4 if v == 4 else 3
     prefix = VARS[:k]
-    candidates = [p for p in _doubled_of_length(2 * v, v, exactly_twice=True)
-                  if not p.startswith(prefix) and not reverse(p).startswith(prefix)]
-    chunks = [tuple(candidates[i::workers])
-              for i in range(min(workers, len(candidates)))]
-    kept = {p for part in map_workers(_survives_containment, chunks, workers)
-            for p in part}
+    candidates = [p for p in _doubled_walk(v, 2 * v, True) if len(p) == 2 * v
+                  and not p.startswith(prefix) and not reverse(p).startswith(prefix)]
+    kept = {p for p, free in zip(candidates, map_workers(
+        _avoids_fewer_variables, candidates, workers)) if free}
     return sorted(p for p in kept
                   if not (reverse(p) in kept and reverse(p) < p))
 

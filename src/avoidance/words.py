@@ -80,12 +80,21 @@ def is_alpha_plus_free(w: str, alpha: Fraction) -> bool:
     condition, and the strictness of the comparison is the whole point,
     so it is done exactly on integers.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    num, den = _ratio(alpha)
     # every factor is a suffix of some prefix: check each prefix at its
     # last letter, as the generator does
-    return all(_extension_ok(w[:n], alpha.numerator, alpha.denominator)
-               for n in range(2, len(w) + 1))
+    return all(_extension_ok(w[:n], num, den) for n in range(2, len(w) + 1))
+
+
+def _ratio(alpha: Fraction) -> tuple[int, int]:
+    """alpha as numerator and denominator; ValueError unless it is an int
+    or a Fraction of at least 1, since the exponent test is exact only on
+    rationals."""
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"alpha={alpha!r} must be an int or a Fraction")
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
+    return alpha.numerator, alpha.denominator
 
 
 def _extension_ok(w: str, num: int, den: int) -> bool:
@@ -138,11 +147,9 @@ def generate_free_words(k: int, alpha: Fraction, max_len: int) -> Iterator[str]:
     arguments are checked at the call, before the first word."""
     if k < 1 or k > MAX_ALPHABET:
         raise ValueError(f"alphabet size {k} out of range")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    num, den = _ratio(alpha)
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    num, den = alpha.numerator, alpha.denominator
     letters = DISPLAY[:k]
     return grow(letters if max_len else "", letters, max_len,
                 lambda w: _extension_ok(w, num, den))

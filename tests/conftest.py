@@ -20,8 +20,9 @@ settings.load_profile("suite")
 def recording_pools(monkeypatch):
     """Replace the process pool behind patterns.map_workers with a fake
     that runs jobs in-process, so no process is ever started. Each pool
-    records its size, and at shutdown which submitted jobs were still
-    pending and got cancelled. Returns the list of pools made."""
+    records its size, the jobs submitted to it, and at shutdown which of
+    them were still pending and got cancelled. Returns the list of pools
+    made."""
     from avoidance import patterns
 
     pools = []
@@ -29,13 +30,15 @@ def recording_pools(monkeypatch):
     class Pool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
+            self.jobs = []
             self.pending = []
             self.cancelled = None
             pools.append(self)
 
         def map(self, fn, jobs):
             # a real pool submits every job at once and yields in order
-            self.pending = list(jobs)
+            self.jobs = list(jobs)
+            self.pending = list(self.jobs)
             while self.pending:
                 yield fn(self.pending.pop(0))
 

@@ -103,6 +103,23 @@ def brute_first_occurrence(p: str, w: str, cap=None, min_end: int = 0):
     return None
 
 
+def brute_doubled_patterns(max_vars: int, max_len: int) -> list[str]:
+    """Every word over the first max_vars letters of A-Z with 2..max_len
+    letters that is canonical (its letters are A, B, ... in order of first
+    appearance) and doubled (each letter occurs at least twice), ordered by
+    (length, lexicographic)."""
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:max_vars]
+    out = []
+    for n in range(2, max_len + 1):
+        for tup in itertools.product(letters, repeat=n):
+            s = "".join(tup)
+            first = sorted(set(s), key=s.index)
+            canonical = "".join(letters[first.index(c)] for c in s) == s
+            if canonical and all(s.count(c) >= 2 for c in first):
+                out.append(s)
+    return sorted(out, key=lambda s: (len(s), s))
+
+
 def truncated_series_value(m: int, terms, x: float, n_terms: int = 60) -> float:
     """1 - m*x + sum a_i x^i with the a_i obtained by convolving the
     geometric series of each term, truncated at degree n_terms."""

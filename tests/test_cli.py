@@ -323,6 +323,22 @@ def test_exit_codes_of_enumerate_verify_corpus(argv):
     assert "Traceback" not in err
 
 
+class TestCorpus:
+    def test_ae_is_computed_to_full_precision(self, capsys):
+        from avoidance.spectral import avoidability_exponent
+
+        code, out, _ = run(capsys, "corpus", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [d["pattern"] for d in doc] == SPORADIC_4 + SPORADIC_5
+        assert all(d["ae"] == avoidability_exponent(d["pattern"]).ae
+                   for d in doc)
+        # (5 - sqrt 5) / 2, where the copied constant read 1.381966011
+        assert abs(doc[0]["ae"] - (5 - 5 ** 0.5) / 2) < 1e-12
+        _, out, _ = run(capsys, "corpus")
+        assert out.splitlines()[0] == "ABACBDCD q=17 ae=1.381966"
+
+
 class TestAE:
     def test_text_rendering(self, capsys):
         code, out, _ = run(capsys, "ae", "ABACDCBD")

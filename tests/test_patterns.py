@@ -188,10 +188,50 @@ def test_generated_patterns_are_plain_strings():
 
 
 def test_doubled_candidate_counts():
-    from avoidance.patterns import _doubled_of_length
+    from avoidance.patterns import _doubled_walk
 
-    assert len(list(_doubled_of_length(8, 4, True))) == 105
-    assert len(list(_doubled_of_length(10, 5, True))) == 945
+    assert sum(len(p) == 8 for p in _doubled_walk(4, 8, True)) == 105
+    assert sum(len(p) == 10 for p in _doubled_walk(5, 10, True)) == 945
+
+
+@pytest.mark.parametrize("max_vars, max_len",
+                         [(1, 6), (2, 7), (3, 7), (4, 8), (5, 7)])
+def test_doubled_patterns_match_brute_force(max_vars, max_len):
+    assert list(doubled_patterns_upto(max_vars, max_len)) == \
+        oracles.brute_doubled_patterns(max_vars, max_len)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4])
+def test_exactly_twice_walk_matches_brute_force(v):
+    from avoidance.patterns import _doubled_walk
+
+    walk = _doubled_walk(v, 2 * v, True)
+    every = oracles.brute_doubled_patterns(v, 2 * v)
+    assert walk == sorted(p for p in every
+                          if all(p.count(c) == 2 for c in p))
+    assert [p for p in walk if len(p) == 2 * v] == \
+        [p for p in every if len(p) == 2 * v and len(set(p)) == v]
+
+
+@pytest.mark.parametrize("v, k", [(4, 4), (5, 3)])
+def test_skipped_prefix_shapes_are_exactly_the_series_certified(v, k):
+    # enumerate_remaining drops a candidate when it or its reversal starts
+    # with k distinct variables, trusting the series module to certify
+    # those; check that this is exactly where the series method concludes
+    from avoidance.patterns import _doubled_walk
+    from avoidance.series import certify_threeavoidable
+
+    head = string.ascii_uppercase[:k]
+    skipped = 0
+    for p in _doubled_walk(v, 2 * v, True):
+        if len(p) < 2 * v:
+            continue
+        r = reverse(p)
+        skip = p.startswith(head) or r.startswith(head)
+        assert skip == (certify_threeavoidable(p).conclusive
+                        or certify_threeavoidable(r).conclusive), p
+        skipped += skip
+    assert skipped == {4: 24, 5: 810}[v]
 
 
 @pytest.mark.parametrize(
@@ -248,6 +288,18 @@ def test_enumerate_remaining_parallel_matches_serial():
     serial = enumerate_remaining(4, workers=1)
     parallel = enumerate_remaining(4, workers=2)
     assert [str(p) for p in serial] == [str(p) for p in parallel]
+
+
+@pytest.mark.parametrize("v, want, candidates", [(4, SPORADIC_4, 81),
+                                                  (5, SPORADIC_5, 135)])
+def test_enumeration_submits_one_job_per_candidate(
+        monkeypatch, recording_pools, v, want, candidates):
+    monkeypatch.setattr(patterns.os, "cpu_count", lambda: 2)
+    assert enumerate_remaining(v, workers=2) == want
+    (pool,) = recording_pools
+    assert pool.max_workers == 2
+    assert len(set(pool.jobs)) == len(pool.jobs) == candidates
+    assert all(len(p) == 2 * v and len(set(p)) == v for p in pool.jobs)
 
 
 @pytest.mark.parametrize("workers, cpus, n_jobs, size", [

@@ -171,3 +171,19 @@ def test_alpha_plus_freeness_is_strict_inequality():
     # "0101" has exponent exactly 2, so it is (2+)-free but not (7/4+)-free
     assert is_alpha_plus_free("0101", Fraction(2))
     assert not is_alpha_plus_free("0101", Fraction(7, 4))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, "2"])
+def test_non_rational_exponent_is_rejected(alpha):
+    # the exponent test is exact only on ints and Fractions; a float used
+    # to fail with AttributeError on .numerator
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        is_alpha_plus_free("0101", alpha)
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        generate_free_words(2, alpha, 3)
+
+
+def test_integer_exponent_is_accepted():
+    assert is_alpha_plus_free("0101", 2) and not is_alpha_plus_free("010", 1)
+    assert list(generate_free_words(2, 2, 8)) == \
+        list(generate_free_words(2, Fraction(2), 8))
