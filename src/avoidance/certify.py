@@ -139,12 +139,6 @@ def apply_morphism(m: Morphism, w: str) -> str:
     return "".join(m.images[d] for d in indices)
 
 
-def _window_blocks(image_cap: int, q: int) -> int:
-    # an occurrence of total length <= cap ending inside the last block
-    # spans at most ceil(cap/q) + 1 consecutive blocks
-    return -(-image_cap // q) + 1
-
-
 def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LEN,
                  image_cap: int | None = None, workers: int = 1
                  ) -> VerificationReport:
@@ -163,28 +157,26 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
     cap = 2 * q if image_cap is None else image_cap
     if max_preimage_len < 1 or cap < 1:
         raise ValueError("caps must be positive")
-    tail = _window_blocks(cap, q)
+    tail = -(-cap // q) + 1
     first: dict[str, tuple[int, str]] = {}  # suffix -> (stream index, preimage)
-    checked = 0
+    checked = searched = 0
+    found = None
     stream = generate_free_words(entry.morphism.domain_size, FREE_EXPONENT,
                                  max_preimage_len)
     for checked, w in enumerate(stream, 1):
         first.setdefault(w[-tail:], (checked, w))
-    keys = list(first)
-    jobs = [(entry.pattern, entry.morphism, key, cap) for key in keys]
-    effective = min(cap, max_preimage_len * q)
+    jobs = [(entry.pattern, entry.morphism, key, cap) for key in first]
     with closing(map_workers(_search_window, jobs, workers)) as hits:
-        searched = 0
-        for searched, (key, rel) in enumerate(zip(keys, hits), 1):
+        for searched, ((key, (index, w)), rel) in enumerate(
+                zip(first.items(), hits), 1):
             if rel is not None:
-                index, w = first[key]
-                occ = Occurrence(rel.start + (len(w) - len(key)) * q, rel.images)
-                return VerificationReport(entry.pattern, entry.morphism_id,
-                                          max_preimage_len, cap, index, False,
-                                          (w, occ), searched, effective)
+                checked = index
+                found = (w, Occurrence(rel.start + (len(w) - len(key)) * q,
+                                       rel.images))
+                break
     return VerificationReport(entry.pattern, entry.morphism_id,
-                              max_preimage_len, cap, checked, True, None,
-                              searched, effective)
+                              max_preimage_len, cap, checked, found is None,
+                              found, searched, min(cap, max_preimage_len * q))
 
 
 def _search_window(job) -> Optional[Occurrence]:

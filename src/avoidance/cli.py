@@ -65,7 +65,7 @@ def cmd_series(args):
     if args.prefix_len is not None and args.strategy != "prefix":
         raise ValueError("--prefix-len works with --strategy prefix only")
     if args.strategy == "certify":
-        if args.alphabet not in (None, 3):
+        if args.alphabet != 3:
             raise ValueError("--strategy certify works over 3 letters only; "
                              "use --strategy full or prefix for "
                              f"--alphabet {args.alphabet}")
@@ -80,14 +80,13 @@ def cmd_series(args):
         lines.append(f"conclusive via {report.best.strategy}"
                      if report.conclusive else "inconclusive")
         return doc, lines, 0 if report.conclusive else 1
-    m = 3 if args.alphabet is None else args.alphabet
     if args.strategy == "full":
-        spec = series.spec_full(p, m)
+        spec = series.spec_full(p, args.alphabet)
     else:
         k = args.prefix_len
         if k is None:
             k = series.distinct_prefix_len(p)
-        spec = series.spec_prefix(p, m, k)
+        spec = series.spec_prefix(p, args.alphabet, k)
     res = series.smallest_positive_root(spec)
     doc = {"pattern": str(p), "strategy": args.strategy,
            "terms": list(map(list, spec.terms)), **_root_json(res)}
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("series", cmd_series, help="growth certificate via P(x) roots")
     sp.add_argument("--pattern", required=True)
-    sp.add_argument("--alphabet", type=int, default=None,
+    sp.add_argument("--alphabet", type=int, default=3,
                     help="alphabet size (default 3, the only one certify "
                          "accepts)")
     sp.add_argument("--strategy", choices=("full", "prefix", "certify"),

@@ -107,16 +107,12 @@ def evaluate(spec: SeriesSpec, x: float) -> float:
     """Closed-form P(x); defined on [0, pole_radius)."""
     if x < 0 or x >= spec.pole_radius:
         raise ValueError(f"x={x} outside [0, {spec.pole_radius})")
-    prod = 1.0
-    for c, w in spec.terms:
-        t = c * x ** w
-        prod *= t / (1.0 - t)
-    return 1.0 - spec.m * x + prod
+    return _value_and_slope(spec, x)[0] if x else 1.0
 
 
 def _value_and_slope(spec: SeriesSpec, x: float) -> tuple[float, float]:
     """(P(x), P'(x)) for 0 < x < pole_radius from one pass over the terms;
-    P is evaluate's, bit for bit. Each factor g = t/(1-t), t = c x^w, has
+    evaluate reads P from here. Each factor g = t/(1-t), t = c x^w, has
     g'/g = w / (x (1-t))."""
     prod, rate = 1.0, 0.0
     for c, w in spec.terms:

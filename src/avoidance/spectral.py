@@ -26,17 +26,16 @@ from .patterns import Pattern, variables
 @dataclass(frozen=True)
 class AEMatrix:
     size: int
-    entries: np.ndarray  # (size, size) non-negative ints
+    entries: np.ndarray  # square array of non-negative ints, else ValueError
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.asarray(self.entries, dtype=np.int64)
-        except ValueError as exc:
-            raise ValueError(f"entries are not a square integer array: {exc}")
-        if arr.shape != (self.size, self.size):
-            raise ValueError("entries shape does not match size")
+        arr = np.asarray(self.entries)
+        if arr.dtype.kind not in "iu" or arr.shape != (self.size, self.size):
+            raise ValueError(f"entries must be a {self.size}x{self.size} "
+                             "integer array")
+        arr = arr.astype(np.int64)  # a uint64 beyond int64 wraps negative
         if (arr < 0).any():
-            raise ValueError("entries must be non-negative")
+            raise ValueError("entries must be non-negative int64 values")
         object.__setattr__(self, "entries", arr)
 
 
@@ -53,20 +52,12 @@ def ae_matrix(p: str) -> AEMatrix:
     """Between-occurrence count matrix of a doubled pattern of length 2v."""
     pat = Pattern(p)
     order, _ = variables(pat)
-    spans = {}
     for v in order:
         if pat.count(v) != 2:
             raise ValueError(f"variable {v} must occur exactly twice in {pat}")
-        first = pat.index(v)
-        spans[v] = (first, pat.index(v, first + 1))
-    v_count = len(order)
-    m = np.zeros((v_count, v_count), dtype=int)
-    for j, vj in enumerate(order):
-        lo, hi = spans[vj]
-        between = pat[lo + 1:hi]
-        for i, vi in enumerate(order):
-            m[i, j] = between.count(vi)
-    return AEMatrix(v_count, m)
+    between = [pat[pat.index(v) + 1:pat.rindex(v)] for v in order]
+    return AEMatrix(len(order), [[span.count(vi) for span in between]
+                                 for vi in order])
 
 
 def perron_root(mat: AEMatrix) -> float:

@@ -72,6 +72,10 @@ class TestParseMorphism:
         with pytest.raises(ValueError):
             parse_morphism("0 => 01\n")
 
+    def test_rejects_duplicate_image(self):
+        with pytest.raises(ValueError, match="line 2: duplicate image for 0"):
+            parse_morphism("0 -> 01\n0 -> 10")
+
     def test_load_from_file(self, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("0 -> 0110\n1 -> 1001\n")

@@ -357,6 +357,11 @@ class TestSplitted:
         assert not is_n_splitted("012012", 3)  # block "01" misses 2
         assert not is_n_splitted("011", 2)  # length not divisible
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_is_n_splitted_rejects_non_positive_n(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            is_n_splitted("01", n)
+
     def test_already_splitted_word_is_returned_whole(self):
         rep = find_splitted_factor("0110", 2)
         assert (rep.factor, rep.offset, rep.depth) == ("0110", 0, 0)

@@ -18,6 +18,7 @@ from avoidance.patterns import Pattern, doubled_patterns_upto
 from avoidance.series import (
     BRACKET_WIDTH,
     SeriesSpec,
+    _exact,
     _value_and_slope,
     certify_threeavoidable,
     check_bound_against_counts,
@@ -233,6 +234,12 @@ class TestSmallestPositiveRoot:
             - 108 * x**6 + 243 * x**8 + 162 * x**9 - 243 * x**10
         )
         assert abs(value) < 1e-9
+
+    def test_exact_sign_is_undefined_from_the_pole_on(self):
+        # x/(1-x) has its pole at 1: no sign exists there or beyond
+        spec = SeriesSpec(3, ((1, 1),))
+        assert _exact(spec, Fraction(1)) is None
+        assert _exact(spec, Fraction(3, 2)) is None
 
 
 def _pattern_specs() -> set[SeriesSpec]:

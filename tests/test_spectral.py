@@ -59,9 +59,31 @@ class TestAEMatrix:
         with pytest.raises(ValueError):
             AEMatrix(size=2, entries=((0, -1), (0, 0)))
 
+    def test_rejects_unsigned_entries_beyond_int64(self):
+        entries = np.array([[0, 2**63], [1, 0]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="non-negative"):
+            AEMatrix(size=2, entries=entries)
+
     def test_rejects_ragged_entries(self):
         with pytest.raises(ValueError):
             AEMatrix(size=2, entries=((0, 1),))
+        with pytest.raises(ValueError):
+            AEMatrix(size=2, entries=((0, 1), (1,)))
+
+    @pytest.mark.parametrize("entries", [
+        ((0.5, 1.7), (1, 0)),  # would truncate to the 2-cycle, beta 1.0
+        ((0.0, 1.0), (1.0, 0.0)),  # integral floats are still floats
+        ((False, True), (True, False)),
+        ((2**70, 0), (0, 0)),  # beyond int64: an object array
+    ])
+    def test_rejects_non_integer_entries(self, entries):
+        with pytest.raises(ValueError, match="integer array"):
+            AEMatrix(size=2, entries=entries)
+
+    def test_stores_int64(self):
+        m = AEMatrix(size=2, entries=np.array([[0, 1], [1, 0]], dtype=np.uint8))
+        assert m.entries.dtype == np.int64
+        assert m.entries.tolist() == [[0, 1], [1, 0]]
 
 
 class TestPerronRoot:

@@ -53,6 +53,11 @@ def test_smallest_period_examples(w, period):
     assert smallest_period(w) == period
 
 
+def test_smallest_period_rejects_empty_word():
+    with pytest.raises(ValueError, match="empty word"):
+        smallest_period("")
+
+
 def test_exponent_is_exact_fraction():
     e = exponent("01201")
     assert isinstance(e, Fraction)
