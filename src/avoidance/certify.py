@@ -70,17 +70,18 @@ class CorpusEntry:
         return self.pattern.lower()
 
 
+# field order is the key order of `avoid verify --json`
 @dataclass(frozen=True)
 class VerificationReport:
     pattern: Pattern
     morphism_id: str
     max_preimage_len: int
     image_cap: int
+    effective_cap: int  # min(image_cap, max_preimage_len * q): no window is longer
     preimages_checked: int
+    windows_searched: int  # distinct preimage suffixes searched to the verdict
     passed: bool
     counterexample: Optional[tuple[str, Occurrence]]  # (preimage, occurrence)
-    windows_searched: int  # distinct preimage suffixes searched to the verdict
-    effective_cap: int  # min(image_cap, max_preimage_len * q): no window is longer
 
 
 def parse_morphism(text: str) -> Morphism:
@@ -110,23 +111,16 @@ def load_morphism(path) -> Morphism:
         return parse_morphism(fh.read())
 
 
-# the shipped corpus, in file order matching
-# data/morphisms/<pattern lowercased>.txt
-_CORPUS_PATTERNS = ("ABACBDCD", "ABACDBDC", "ABACDCBD", "ABCADBDC", "ABCADCBD",
-                 "ABCADCDB", "ABCBDADC", "ABACBDCEDE", "ABACDBCEDE",
-                 "ABACDBDECE")
-
-
 def corpus() -> list[CorpusEntry]:
-    """The ten shipped entries, uniform lengths 17,33,28,21,22,26,33,15,18,22,
-    each with the avoidability exponent spectral computes for its pattern."""
+    """One entry per data/morphisms/<pattern>.txt, in (variables,
+    lexicographic) order, each with the avoidability exponent spectral
+    computes for its pattern."""
     root = resources.files("avoidance").joinpath("data/morphisms")
-    entries = []
-    for name in _CORPUS_PATTERNS:
-        text = root.joinpath(f"{name.lower()}.txt").read_text()
-        entries.append(CorpusEntry(Pattern(name), parse_morphism(text),
-                                   avoidability_exponent(name).ae))
-    return entries
+    files = {Pattern(f.name.removesuffix(".txt").upper()): f
+             for f in root.iterdir() if f.name.endswith(".txt")}
+    return [CorpusEntry(p, parse_morphism(files[p].read_text()),
+                        avoidability_exponent(p).ae)
+            for p in sorted(files, key=lambda p: (len(p), p))]
 
 
 def apply_morphism(m: Morphism, w: str) -> str:
@@ -175,8 +169,9 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
                                        rel.images))
                 break
     return VerificationReport(entry.pattern, entry.morphism_id,
-                              max_preimage_len, cap, checked, found is None,
-                              found, searched, min(cap, max_preimage_len * q))
+                              max_preimage_len, cap,
+                              min(cap, max_preimage_len * q), checked,
+                              searched, found is None, found)
 
 
 def _search_window(job) -> Optional[Occurrence]:

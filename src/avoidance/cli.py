@@ -49,11 +49,6 @@ def cmd_enumerate(args):
     return remaining, remaining, 0
 
 
-def _root_json(res: series.RootResult) -> dict:
-    return {"root": res.root, "growth": res.growth,
-            "bracket": res.bracket, "scan_min": res.scan_min}
-
-
 def _root_text(res: series.RootResult) -> str:
     if res.found:
         return f"root={_real(res.root)} growth={_real(res.growth)}"
@@ -73,7 +68,7 @@ def cmd_series(args):
         doc = {"pattern": str(p), "conclusive": report.conclusive,
                "attempts": [{"strategy": a.strategy,
                              "terms": list(map(list, a.spec.terms)),
-                             **_root_json(a.result)}
+                             **dataclasses.asdict(a.result)}
                             for a in report.attempts]}
         lines = [f"{a.strategy}: {_root_text(a.result)}"
                  for a in report.attempts]
@@ -89,7 +84,7 @@ def cmd_series(args):
         spec = series.spec_prefix(p, args.alphabet, k)
     res = series.smallest_positive_root(spec)
     doc = {"pattern": str(p), "strategy": args.strategy,
-           "terms": list(map(list, spec.terms)), **_root_json(res)}
+           "terms": list(map(list, spec.terms)), **dataclasses.asdict(res)}
     return doc, [_root_text(res)], 0
 
 
@@ -101,12 +96,7 @@ def cmd_ae(args):
 
 
 def _report_json(rep: certify.VerificationReport) -> dict:
-    out = {"pattern": str(rep.pattern), "morphism_id": rep.morphism_id,
-           "max_preimage_len": rep.max_preimage_len, "image_cap": rep.image_cap,
-           "effective_cap": rep.effective_cap,
-           "preimages_checked": rep.preimages_checked,
-           "windows_searched": rep.windows_searched, "passed": rep.passed,
-           "counterexample": None}
+    out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
     if rep.counterexample:
         w, occ = rep.counterexample
         out["counterexample"] = {"preimage": w, **_occurrence_json(occ)}

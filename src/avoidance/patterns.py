@@ -364,20 +364,14 @@ def find_splitted_factor(w: str, n: int) -> SplittedReport:
     if k == 0 or len(w) != n ** k:
         raise ValueError(f"need |w| = n^k with k = distinct letters; "
                          f"got |w|={len(w)}, k={k}, n={n}")
-    offset = 0
-    cur = w
-    depth = 0
-    while not is_n_splitted(cur, n):
-        letters = set(cur)
-        b = len(cur) // n
-        for i in range(n):
-            block = cur[i * b:(i + 1) * b]
-            if not set(block) >= letters:
-                offset += i * b
-                cur = block
-                depth += 1
-                break
-    return SplittedReport(cur, offset, n, depth)
+    offset, depth, cur = 0, 0, w
+    while True:
+        k, b = len(set(cur)), len(cur) // n
+        i = next((i for i in range(0, len(cur), b)
+                  if len(set(cur[i:i + b])) < k), None)
+        if i is None:
+            return SplittedReport(cur, offset, n, depth)
+        offset, cur, depth = offset + i, cur[i:i + b], depth + 1
 
 
 def splitted_to_pattern(w: str) -> tuple[Pattern, Occurrence]:

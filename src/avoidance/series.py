@@ -1,13 +1,13 @@
 """Power-series growth certificates for pattern-avoiding languages.
 
 A spec represents P(x) = 1 - m*x + prod_j ( c_j x^{w_j} / (1 - c_j x^{w_j}) ),
-with m and every c_j, w_j an integer. A positive root x0 of P certifies that
-the language has at least x0^{-i} words of each length i, hence exponential
-growth 1/x0. One term rule turns a doubled pattern into a spec: a variable
-of a chosen all-distinct head is determined by the rest and gives
-(1, occurrences - 1), every other variable is free and gives
-(m, occurrences). The "full" strategy takes an empty head, "prefix" the
-first k symbols.
+with m and every c_j, w_j an integer that float() can represent. A
+positive root x0 of P certifies that the language has at least x0^{-i}
+words of each length i, hence exponential growth 1/x0. One term rule turns
+a doubled pattern into a spec: a variable of a chosen all-distinct head is
+determined by the rest and gives (1, occurrences - 1), every other
+variable is free and gives (m, occurrences). The "full" strategy takes an
+empty head, "prefix" the first k symbols.
 
 The product is a power series with non-negative coefficients, so on
 [0, pole_radius) P is convex and at least 1 - m*x. Its first root is found
@@ -38,9 +38,11 @@ class SeriesSpec:
     def __post_init__(self) -> None:
         # _exact's sign check is a proof only in integer arithmetic
         values = (self.m, *(v for term in self.terms for v in term))
-        if not all(isinstance(v, int) for v in values):
+        if not all(type(v) is int for v in values):  # bool is no integer here
             raise ValueError(f"m={self.m!r} and terms {self.terms!r} "
                              "must be integers")
+        if max(values) >= 2 ** 1024 - 2 ** 970:  # the least int float() rejects
+            raise ValueError("m and terms must fit in a float")
         if self.m < 1:
             raise ValueError(f"alphabet size m={self.m} must be at least 1")
         if not self.terms:

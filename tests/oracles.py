@@ -120,6 +120,31 @@ def brute_doubled_patterns(max_vars: int, max_len: int) -> list[str]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def contains_fewer_variable_doubled(p: str) -> bool:
+    """For p with every letter exactly twice, v letters in all: whether p
+    contains a doubled pattern on fewer than v variables, in closed form.
+    That holds iff some proper factor has every letter exactly twice, or
+    some 2-letter factor occurs twice.
+
+    If: such a proper factor is itself a doubled pattern on fewer
+    variables, occurring in p. If xy occurs twice, then x != y, and
+    replacing both copies of xy by one new variable gives a doubled pattern
+    on v - 1 variables, occurring in p with that variable mapped to xy.
+
+    Only if: take an occurrence h of such a pattern q in p. If some
+    |h(X)| >= 2, its first two letters occur twice, since X occurs at least
+    twice in q. Otherwise every image is one letter. Each letter of p
+    occurs exactly twice, so h is injective and every variable of q occurs
+    exactly twice. Then h(q) is a factor with every letter exactly twice,
+    and it is proper because q has fewer than v variables.
+    """
+    assert all(p.count(c) == 2 for c in p)
+    factors = [p[i:j] for i in range(len(p)) for j in range(i + 1, len(p) + 1)]
+    pairs = [p[i:i + 2] for i in range(len(p) - 1)]
+    return (any(f != p and all(f.count(c) == 2 for c in f) for f in factors)
+            or len(set(pairs)) < len(pairs))
+
+
 def truncated_series_value(m: int, terms, x: float, n_terms: int = 60) -> float:
     """1 - m*x + sum a_i x^i with the a_i obtained by convolving the
     geometric series of each term, truncated at degree n_terms."""

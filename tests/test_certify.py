@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -98,6 +99,13 @@ class TestCorpus:
             "ABACDBDECE",
         ]
         assert [e.morphism.uniform_len for e in entries] == UNIFORM_LENGTHS
+
+    def test_one_entry_per_packaged_file(self):
+        root = resources.files("avoidance").joinpath("data/morphisms")
+        names = sorted(f.name for f in root.iterdir())
+        assert sorted(f"{e.morphism_id}.txt" for e in corpus()) == names
+        ids = [e.morphism_id for e in corpus()]
+        assert ids == sorted(ids, key=lambda i: (len(i), i))
 
     def test_golden_hash(self):
         blob = "\n".join(
@@ -259,6 +267,25 @@ class TestVerifyEntry:
             assert occ.start == start
             assert occ.images == {v: a_image if v == "A" else "0"
                                   for v in str(e.pattern)}
+
+    @pytest.mark.parametrize("entry, survivors", [
+        ("ABACBDCD", [(0, 13), (2, 5), (3, 13)]),
+        ("ABACBDCEDE", [(1, 14), (3, 12)]),
+    ])
+    def test_single_bit_mutants_passing_the_default_bound(self, entry,
+                                                           survivors):
+        # every other flip of one image bit is refuted at preimages up to
+        # length 6 and cap 2q; a weaker search lets more of them pass
+        (e,) = [e for e in corpus() if e.pattern == entry]
+        images = e.morphism.images
+        passed = []
+        for d, img in enumerate(images):
+            for i in range(len(img)):
+                flipped = img[:i] + "10"[int(img[i])] + img[i + 1:]
+                m = Morphism(images[:d] + (flipped,) + images[d + 1:])
+                if verify_entry(CorpusEntry(e.pattern, m, e.ae)).passed:
+                    passed.append((d, i))
+        assert passed == survivors
 
     def test_windows_searched_stops_growing_at_window_length(self):
         # at the default cap 2q the window is 3 letters, so preimages longer

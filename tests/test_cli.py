@@ -193,6 +193,15 @@ class TestSeries:
         assert (code, out) == (2, "")
         assert "error:" in err
 
+    @pytest.mark.parametrize("strategy", ["full", "prefix"])
+    def test_alphabet_beyond_float_is_usage_error(self, capsys, strategy):
+        # once an OverflowError traceback and exit 1
+        code, out, err = run(capsys, "series", "--pattern", "AA",
+                             "--alphabet", str(10 ** 400),
+                             "--strategy", strategy)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("strategy", [(), ("--strategy", "certify"),
                                           ("--strategy", "full")])
     def test_prefix_len_outside_prefix_strategy_is_usage_error(

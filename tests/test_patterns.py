@@ -345,6 +345,22 @@ def test_map_workers_in_process_is_lazy():
     assert seen == [1]
 
 
+@pytest.mark.parametrize("v, candidates", [(4, 105), (5, 135)])
+def test_closed_form_containment_agrees_with_the_search(v, candidates):
+    # every 4-variable pattern with each variable exactly twice, and the
+    # 5-variable ones that enumerate_remaining searches
+    from avoidance.patterns import _doubled_walk
+
+    searched = [p for p in _doubled_walk(v, 2 * v, True) if len(p) == 2 * v]
+    if v == 5:
+        searched = [p for p in searched if not p.startswith("ABC")
+                    and not reverse(p).startswith("ABC")]
+    assert len(searched) == candidates
+    for p in searched:
+        assert oracles.contains_fewer_variable_doubled(p) == \
+            (pattern_contains_doubled(p, v - 1) is not None), p
+
+
 def test_enumerate_remaining_rejects_other_sizes():
     with pytest.raises(ValueError):
         enumerate_remaining(3)
@@ -379,6 +395,15 @@ class TestSplitted:
         # first half 0000 misses 1, so recursion must look inside a block
         rep = find_splitted_factor("000000101", 3)
         assert is_n_splitted(rep.factor, 3)
+
+    @pytest.mark.parametrize("w, n, factor, offset, depth", [
+        ("00120100", 2, "00", 6, 2),  # 0100 lacks 2, then 00 lacks 1
+        ("001001000", 3, "000", 6, 1),  # only the last block lacks 1
+    ])
+    def test_descent_takes_the_first_block_missing_a_letter(
+            self, w, n, factor, offset, depth):
+        rep = find_splitted_factor(w, n)
+        assert (rep.factor, rep.offset, rep.depth) == (factor, offset, depth)
 
     def test_splitted_to_pattern_example(self):
         p, occ = splitted_to_pattern("011010")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from avoidance import series
 from avoidance.patterns import Pattern, doubled_patterns_upto
 from avoidance.series import (
     BRACKET_WIDTH,
@@ -53,11 +54,34 @@ class TestSeriesSpec:
         (2.5, ((1, 2), (1, 2))),  # once reported a root with a float "proof"
         (3, ((3, 1.5), (3, 2))),
         (3, ((3.0, 2),)),
+        (True, ((1, 1),)),  # bools were once taken for 1 and 0
+        (3, ((True, 1),)),
+        (3, ((1, False),)),
     ])
     def test_rejects_non_integers(self, m, terms):
         # the sign check of a root's bracket is a proof only on integers
         with pytest.raises(ValueError, match="integers"):
             SeriesSpec(m=m, terms=terms)
+
+    @pytest.mark.parametrize("m,terms", [
+        (10 ** 400, ((1, 1),)),  # once an OverflowError in pole_radius
+        (3, ((10 ** 400, 1),)),
+        (2 ** 1024 - 2 ** 970, ((1, 1),)),  # the least int float() rejects
+        (3, ((1, 2 ** 1024),)),
+    ], ids=["m", "c", "m-least", "w"])
+    def test_rejects_values_beyond_float(self, m, terms):
+        with pytest.raises(ValueError, match="float"):
+            SeriesSpec(m=m, terms=terms)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 10 ** 300, 2 ** 1023,
+                                   2 ** 1024 - 2 ** 970 - 1],
+                             ids=["1", "2", "3", "1e300", "2^1023", "max"])
+    @pytest.mark.parametrize("w", [1, 2, 5, 60])
+    def test_values_up_to_float_max_raise_nothing(self, v, w):
+        for spec in (SeriesSpec(v, ((v, w),)), SeriesSpec(3, ((v, w),)),
+                     SeriesSpec(v, ((1, w),))):
+            evaluate(spec, 0.0)
+            smallest_positive_root(spec)
 
     def test_pole_radius(self):
         spec = SeriesSpec(m=3, terms=((3, 2),))
@@ -210,6 +234,24 @@ class TestSmallestPositiveRoot:
         r = smallest_positive_root(spec)
         assert not r.found
         assert 0 <= r.scan_min < 1e-12
+
+    def test_unproven_newton_limit_falls_back_to_the_minimum(
+            self, monkeypatch):
+        # P = (1-10x)^2/(1-5x) touches 0 at x = 1/10: Newton's method
+        # converges there, the bracket's sign check fails (two _exact
+        # calls), and the minimum of P is reported from a third
+        calls = []
+        exact = series._exact
+        monkeypatch.setattr(series, "_exact",
+                            lambda *args: calls.append(args) or exact(*args))
+        r = smallest_positive_root(SeriesSpec(20, ((5, 1),)))
+        assert not r.found
+        assert 0 <= r.scan_min < 1e-20
+        assert len(calls) == 3
+        calls.clear()
+        # the other tangent never converges: only the minimum is taken
+        assert not smallest_positive_root(SeriesSpec(4, ((1, 1),))).found
+        assert len(calls) == 1
 
     def test_aa_over_seven_letters_has_root(self):
         r = smallest_positive_root(spec_full("AA", 7))
