@@ -14,8 +14,9 @@ of the last t = ceil(cap/q) + 1 letters of its preimage, so each distinct
 such suffix is searched once. Preimages longer than t add no window.
 Searches and avoider counting shard over processes with
 patterns.map_workers, one window or one first letter per job; the third
-pool site is the enumeration, patterns.enumerate_remaining, one candidate
-per job. Reports and counts are the same for any worker count.
+pool site is the enumeration, patterns.enumerate_remaining, one job per
+worker, a round-robin chunk of candidates, searched pattern-major. Reports
+and counts are the same for any worker count.
 """
 
 from __future__ import annotations

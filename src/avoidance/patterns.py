@@ -16,7 +16,10 @@ reproduces the sporadic candidate lists up to reversal symmetry.
 Canonical patterns are the restricted growth strings. One depth-first walk
 of their prefixes, over every length up to the bound at once, gives both
 the doubled patterns that containment searches for and the candidates of
-the enumeration; each candidate is then searched as its own pool job.
+the enumeration. The enumeration runs one job per worker, a round-robin
+chunk of candidates, searched pattern-major: each smaller doubled pattern
+is tried once in every candidate of the chunk still free of a hit, so
+consecutive searches share their pattern.
 
 The backtracking tries image lengths in increasing order and prunes with
 where each variable must occur again: the image of a variable that recurs
@@ -58,21 +61,27 @@ class Pattern(str):
 
 def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterator:
     """fn over jobs, results lazily in job order: in-process when one
-    process suffices, else from a process pool of min(workers, cpu count,
-    number of jobs). A caller that stops early skips the rest: in-process
-    the rest never runs, and closing the iterator (or dropping it) shuts
-    the pool down with its pending jobs cancelled.
+    process suffices, else from a process pool of _pool_size(workers, number
+    of jobs) processes. A caller that stops early skips the rest:
+    in-process the rest never runs, and closing the iterator (or dropping
+    it) shuts the pool down with its pending jobs cancelled.
 
     fn must be a module-level function so the pool can pickle it. Each of
-    the three callers passes one independent item per job: a verify window
-    (certify.verify_entry), a first letter (certify.count_avoiding), or an
-    enumeration candidate (enumerate_remaining).
+    the three callers passes independent jobs: a verify window
+    (certify.verify_entry), a first letter (certify.count_avoiding), or,
+    for enumerate_remaining, one round-robin chunk of candidates per
+    worker, searched pattern-major.
     """
+    jobs = list(jobs)
+    return _lazy_map(fn, jobs, _pool_size(workers, len(jobs)))
+
+
+def _pool_size(workers: int, n_jobs: int) -> int:
+    """Processes map_workers runs n_jobs on: min(workers, cpu count,
+    n_jobs), one meaning in-process; ValueError unless workers >= 1."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = list(jobs)
-    size = min(workers, os.cpu_count() or 1, len(jobs))
-    return _lazy_map(fn, jobs, size)
+    return min(workers, os.cpu_count() or 1, n_jobs)
 
 
 def _lazy_map(fn: Callable, jobs: list, size: int) -> Iterator:
@@ -255,7 +264,7 @@ def _doubled_walk(max_vars: int, max_len: int, exactly_twice: bool
     while the letters left can still repeat each of them. The walk is its
     own small recursion rather than a words.grow client: a cold
     doubled_patterns_upto(4, 10) through grow took about twice as long, and
-    every process of the enumeration pool pays that once.
+    every process of the enumeration pool pays that once, for its chunk.
     """
     out: list[str] = []
     counts = [0] * max_vars  # occurrences of each variable in the prefix
@@ -284,11 +293,28 @@ def pattern_contains_doubled(p: str, max_vars: int
     the first hit in (length, lex) order of q, or None. The search only
     compares letters, so p hosts the occurrence as it is, and the images
     are factors of p."""
-    for q in doubled_patterns_upto(max_vars, len(p)):
-        occ = find_occurrence(q, p)
-        if occ is not None:
-            return q, occ
-    return None
+    return _first_doubled_hits([p], max_vars)[0]
+
+
+def _first_doubled_hits(hosts: list[str], max_vars: int
+                        ) -> list[Optional[tuple[str, Occurrence]]]:
+    """pattern_contains_doubled(p, max_vars) for each p of hosts, a
+    non-empty list of patterns of one length, searched pattern-major: each
+    q is tried once in every host still without a hit, a host drops out at
+    its first hit, and the walk stops when none is left. Each host gets
+    the searches of its own (length, lex) loop up to its first hit, but
+    consecutive searches share q, so variables(q) is a cache hit."""
+    hits: list[Optional[tuple[str, Occurrence]]] = [None] * len(hosts)
+    free = dict(enumerate(hosts))
+    for q in doubled_patterns_upto(max_vars, len(hosts[0])):
+        for i, p in list(free.items()):
+            occ = find_occurrence(q, p)
+            if occ is not None:
+                hits[i] = q, occ
+                del free[i]
+        if not free:
+            break
+    return hits
 
 
 def find_doubled_factor(p: str) -> Optional[str]:
@@ -303,9 +329,11 @@ def find_doubled_factor(p: str) -> Optional[str]:
     return None
 
 
-def _avoids_fewer_variables(p: str) -> bool:
-    # one enumeration job: no doubled pattern on fewer variables occurs in p
-    return pattern_contains_doubled(p, len(set(p)) - 1) is None
+def _fewer_variable_free(chunk: list[str]) -> list[bool]:
+    # one enumeration job: which candidates of the chunk, all on the same
+    # v variables, contain no doubled pattern on fewer variables
+    return [hit is None for hit in
+            _first_doubled_hits(chunk, len(set(chunk[0])) - 1)]
 
 
 def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
@@ -316,8 +344,10 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
     avoidability index), that contain no doubled occurrence on fewer
     variables, deduplicated modulo reversal keeping the lexicographically
     smaller form; sorted. The candidates come from the same walk as
-    doubled_patterns_upto, and the containment search runs as one
-    map_workers job per candidate.
+    doubled_patterns_upto. The containment search runs as one map_workers
+    job per worker, a round-robin chunk of candidates, searched
+    pattern-major: each smaller doubled pattern is tried once in every
+    candidate of the chunk still free of a hit.
     """
     if v not in (4, 5):
         raise ValueError("enumeration is defined for v in {4, 5}")
@@ -325,8 +355,11 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
     prefix = VARS[:k]
     candidates = [p for p in _doubled_walk(v, 2 * v, True) if len(p) == 2 * v
                   and not p.startswith(prefix) and not reverse(p).startswith(prefix)]
-    kept = {p for p, free in zip(candidates, map_workers(
-        _avoids_fewer_variables, candidates, workers)) if free}
+    n = _pool_size(workers, len(candidates))
+    chunks = [candidates[i::n] for i in range(n)]
+    kept = {p for chunk, free in zip(chunks, map_workers(
+        _fewer_variable_free, chunks, workers))
+        for p, ok in zip(chunk, free) if ok}
     return sorted(p for p in kept
                   if not (reverse(p) in kept and reverse(p) < p))
 

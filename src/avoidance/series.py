@@ -12,9 +12,10 @@ empty head, "prefix" the first k symbols.
 The product is a power series with non-negative coefficients, so on
 [0, pole_radius) P is convex and at least 1 - m*x. Its first root is found
 by Newton's method from 1/m, each step reading P and P' from one pass over
-the terms, and reported only with a bracket of BRACKET_WIDTH whose sign
-change is proven in integer arithmetic; without one the root is absent,
-and scan_min is the minimum of P.
+the terms, and reported only with a bracket of at most
+min(BRACKET_WIDTH, root) whose sign change is proven in integer
+arithmetic; without one the root is absent, and scan_min is the minimum
+of P.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def _exact(spec: SeriesSpec, x: Fraction) -> Optional[tuple[int, int]]:
 
 
 def smallest_positive_root(spec: SeriesSpec) -> RootResult:
-    """The first root of P in (0, pole_radius), proven to lie in a bracket
-    of BRACKET_WIDTH, or its absence together with the minimum of P.
+    """The first root x of P in (0, pole_radius), proven to lie in a
+    bracket of at most min(BRACKET_WIDTH, x), or its absence together with
+    the minimum of P.
 
     Every coefficient of the product's power series is non-negative, so on
     [0, pole_radius) P is convex and P(x) >= 1 - m*x. Hence the first root
@@ -154,14 +156,16 @@ def smallest_positive_root(spec: SeriesSpec) -> RootResult:
     or one past the pole, shows there is no root.
 
     A root x is reported only when the integer sign check of ``_exact``
-    proves P(lo) > 0 >= P(hi) at the rationals lo, hi = x -/+
-    BRACKET_WIDTH/2, with hi below every pole; then the first root lies in
-    (lo, hi], growth is 1/x and scan_min is P(hi) <= 0. Otherwise the root
-    is absent (a tangent, or two roots too close to separate) and scan_min
-    is the minimum of P, taken at a point within BRACKET_WIDTH of the
-    minimiser found by bisecting on the sign of P'. Both values of P are
-    rounded from their exact rational values, so a tangent gives a
-    scan_min of 0 or just above it, never below.
+    proves P(lo) > 0 >= P(hi) at the rationals lo, hi = x -/+ width/2,
+    width = min(BRACKET_WIDTH, x) so that lo > 0, with hi below every pole;
+    then the first root lies in (lo, hi], the bracket is width, growth is
+    1/x and scan_min is P(hi) <= 0. Otherwise P is taken at a point within
+    BRACKET_WIDTH of its minimiser, found by bisecting on the sign of P'.
+    If P <= 0 there (two roots closer than the bracket), bisecting on the
+    exact sign of P from (0, that point] brackets the first root instead,
+    with x the midpoint and a width of at most min(BRACKET_WIDTH, x).
+    Else the root is absent (a tangent) and scan_min is that minimum, of
+    exact sign: 0 or just above it, never below.
     """
     lo, hi = 0.0, spec.pole_radius  # P' < 0 at lo unless lo = 0
     x = 1.0 / spec.m
@@ -173,12 +177,12 @@ def smallest_positive_root(spec: SeriesSpec) -> RootResult:
         lo, nxt = x, x - value / slope
         if nxt <= x:
             # converged: P(x) <= 0 in floating point, or the step vanished
-            half = Fraction(BRACKET_WIDTH) / 2
+            width = min(BRACKET_WIDTH, x)
+            half = Fraction(width) / 2
             below = _exact(spec, Fraction(x) - half)
             above = _exact(spec, Fraction(x) + half)
             if above is not None and below[0] > 0 >= above[0]:
-                return RootResult(x, 1.0 / x, BRACKET_WIDTH,
-                                  above[0] / above[1])
+                return RootResult(x, 1.0 / x, width, above[0] / above[1])
             break
         x = nxt
     while hi - lo > BRACKET_WIDTH:
@@ -188,7 +192,21 @@ def smallest_positive_root(spec: SeriesSpec) -> RootResult:
         else:
             hi = mid
     num, den = _exact(spec, Fraction(lo))
-    return RootResult(None, None, None, num / den)
+    if num > 0:
+        return RootResult(None, None, None, num / den)
+    # P(lo) <= 0, so the first root lies in (0, lo] although no bracket
+    # around Newton's limit held (two roots closer than it): bisecting on
+    # the exact sign of P keeps P(a) > 0 >= P(b) until b - a is small enough
+    a, b, value = Fraction(0), Fraction(lo), num / den
+    while b - a > min(BRACKET_WIDTH, a):
+        mid = (a + b) / 2
+        num, den = _exact(spec, mid)
+        if num > 0:
+            a = mid
+        else:
+            b, value = mid, num / den
+    x = float((a + b) / 2)
+    return RootResult(x, 1.0 / x, float(b - a), value)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,21 @@ def contains_fewer_variable_doubled(p: str) -> bool:
             or len(set(pairs)) < len(pairs))
 
 
+def per_candidate_searches(candidates, doubled_patterns_upto,
+                           find_occurrence) -> list[tuple[str, str]]:
+    """The (q, p) pairs the candidate-major containment loop searches:
+    for each candidate p in turn, the doubled patterns q on fewer variables
+    than p with |q| <= |p|, in (length, lex) order, up to and including the
+    first one that occurs in p."""
+    pairs = []
+    for p in candidates:
+        for q in doubled_patterns_upto(len(set(p)) - 1, len(p)):
+            pairs.append((q, p))
+            if find_occurrence(q, p) is not None:
+                break
+    return pairs
+
+
 def truncated_series_value(m: int, terms, x: float, n_terms: int = 60) -> float:
     """1 - m*x + sum a_i x^i with the a_i obtained by convolving the
     geometric series of each term, truncated at degree n_terms."""

@@ -285,21 +285,64 @@ def test_enumerate_remaining_five_variables():
 
 
 def test_enumerate_remaining_parallel_matches_serial():
-    serial = enumerate_remaining(4, workers=1)
-    parallel = enumerate_remaining(4, workers=2)
-    assert [str(p) for p in serial] == [str(p) for p in parallel]
+    for v in (4, 5):
+        serial = enumerate_remaining(v, workers=1)
+        for workers in (2, 3):
+            assert enumerate_remaining(v, workers=workers) == serial, workers
+
+
+def enumeration_candidates(v):
+    # the patterns enumerate_remaining searches: length 2v, every variable
+    # exactly twice, neither they nor their reversal led by the series head
+    from avoidance.patterns import _doubled_walk
+
+    head = string.ascii_uppercase[:4 if v == 4 else 3]
+    return [p for p in _doubled_walk(v, 2 * v, True) if len(p) == 2 * v
+            and not p.startswith(head) and not reverse(p).startswith(head)]
 
 
 @pytest.mark.parametrize("v, want, candidates", [(4, SPORADIC_4, 81),
                                                   (5, SPORADIC_5, 135)])
-def test_enumeration_submits_one_job_per_candidate(
+def test_enumeration_submits_one_chunk_per_worker(
         monkeypatch, recording_pools, v, want, candidates):
     monkeypatch.setattr(patterns.os, "cpu_count", lambda: 2)
     assert enumerate_remaining(v, workers=2) == want
     (pool,) = recording_pools
     assert pool.max_workers == 2
-    assert len(set(pool.jobs)) == len(pool.jobs) == candidates
-    assert all(len(p) == 2 * v and len(set(p)) == v for p in pool.jobs)
+    assert len(pool.jobs) == 2 and all(pool.jobs)
+    dealt = [p for job in pool.jobs for p in job]
+    assert len(set(dealt)) == len(dealt) == candidates
+    assert set(dealt) == set(enumeration_candidates(v))
+    assert all(len(p) == 2 * v and len(set(p)) == v for p in dealt)
+
+    recording_pools.clear()
+    monkeypatch.setattr(patterns.os, "cpu_count", lambda: 4)
+    assert enumerate_remaining(v, workers=1000) == want
+    (pool,) = recording_pools
+    assert pool.max_workers == len(pool.jobs) == 4
+    assert all(pool.jobs) and len(pool.jobs) <= candidates
+    assert sorted(p for job in pool.jobs for p in job) == sorted(dealt)
+
+
+@pytest.mark.parametrize("v, searches", [(4, 9_360), (5, 84_679)])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_enumeration_searches_what_the_candidate_loop_searches(
+        monkeypatch, recording_pools, v, searches, workers):
+    # the pattern-major loop makes each candidate's searches up to its
+    # first hit, no more and no fewer, in any chunking
+    monkeypatch.setattr(patterns.os, "cpu_count", lambda: 4)
+    seen = []
+
+    def recording(q, w, *args):
+        seen.append((q, w))
+        return find_occurrence(q, w, *args)
+
+    monkeypatch.setattr(patterns, "find_occurrence", recording)
+    enumerate_remaining(v, workers)
+    want = oracles.per_candidate_searches(
+        enumeration_candidates(v), doubled_patterns_upto, find_occurrence)
+    assert len(seen) == len(want) == searches
+    assert sorted(seen) == sorted(want)
 
 
 @pytest.mark.parametrize("workers, cpus, n_jobs, size", [
@@ -351,10 +394,8 @@ def test_closed_form_containment_agrees_with_the_search(v, candidates):
     # 5-variable ones that enumerate_remaining searches
     from avoidance.patterns import _doubled_walk
 
-    searched = [p for p in _doubled_walk(v, 2 * v, True) if len(p) == 2 * v]
-    if v == 5:
-        searched = [p for p in searched if not p.startswith("ABC")
-                    and not reverse(p).startswith("ABC")]
+    searched = enumeration_candidates(5) if v == 5 else \
+        [p for p in _doubled_walk(4, 8, True) if len(p) == 8]
     assert len(searched) == candidates
     for p in searched:
         assert oracles.contains_fewer_variable_doubled(p) == \

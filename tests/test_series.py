@@ -33,6 +33,15 @@ from avoidance.series import (
 import oracles
 
 
+def assert_bracket_proven(spec: SeriesSpec, r) -> None:
+    # the integer sign check behind a found root: P(lo) > 0 >= P(hi) at
+    # lo, hi = root -/+ bracket/2, with hi below every pole
+    half = Fraction(r.bracket) / 2
+    above = _exact(spec, Fraction(r.root) + half)
+    assert above is not None
+    assert _exact(spec, Fraction(r.root) - half)[0] > 0 >= above[0]
+
+
 class TestSeriesSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -81,7 +90,12 @@ class TestSeriesSpec:
         for spec in (SeriesSpec(v, ((v, w),)), SeriesSpec(3, ((v, w),)),
                      SeriesSpec(v, ((1, w),))):
             evaluate(spec, 0.0)
-            smallest_positive_root(spec)
+            r = smallest_positive_root(spec)
+            if r.found:
+                assert 0 < r.bracket <= min(BRACKET_WIDTH, r.root)
+                assert_bracket_proven(spec, r)
+            else:
+                assert r.scan_min >= 0
 
     def test_pole_radius(self):
         spec = SeriesSpec(m=3, terms=((3, 2),))
@@ -252,6 +266,36 @@ class TestSmallestPositiveRoot:
         # the other tangent never converges: only the minimum is taken
         assert not smallest_positive_root(SeriesSpec(4, ((1, 1),))).found
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, root", [
+        (SeriesSpec(10 ** 11, ((1, 1),)), 1e-11),
+        (SeriesSpec(10 ** 15, ((1, 1),)), 1e-15),
+        (SeriesSpec(10 ** 300, ((10 ** 300, 2),)), 1e-300),
+        (SeriesSpec(10 ** 300, ((10 ** 300, 5),)), 1e-300),
+    ], ids=["1e11", "1e15", "1e300-w2", "1e300-w5"])
+    def test_bracket_is_no_wider_than_the_root(self, spec, root):
+        # a fixed 1e-12 bracket reached below 0 for the 1e15 spec, and
+        # left the 1e300 roots absent with a negative scan_min
+        r = smallest_positive_root(spec)
+        assert r.found
+        assert math.isclose(r.root, root, rel_tol=1e-9)
+        assert math.isclose(r.growth, 1 / root, rel_tol=1e-9)
+        assert r.bracket == min(BRACKET_WIDTH, r.root)
+        assert_bracket_proven(spec, r)
+
+    def test_roots_closer_than_the_bracket_are_bracketed_exactly(self):
+        # P = (1 - m x + m c x^2)/(1 - c x) with m = 4c + 1 has two roots
+        # 1/(2c) -/+ 1/(2c sqrt(m)), 5e-10 -/+ 7.9e-15: a bracket of 1e-12
+        # around Newton's limit holds both, but P < 0 between them
+        c = 10 ** 9
+        spec = SeriesSpec(4 * c + 1, ((c, 1),))
+        r = smallest_positive_root(spec)
+        assert r.found
+        assert 0 < r.bracket <= BRACKET_WIDTH
+        assert r.scan_min <= 0
+        assert abs(r.root - 5e-10) < BRACKET_WIDTH
+        # P(hi) <= 0 puts hi between the roots, so (lo, hi] holds the first
+        assert_bracket_proven(spec, r)
 
     def test_aa_over_seven_letters_has_root(self):
         r = smallest_positive_root(spec_full("AA", 7))
