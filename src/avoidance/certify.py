@@ -12,19 +12,16 @@ That slice is a finite set of windows: an occurrence of total length at
 most cap that ends in the last q-letter block of an image lies in the image
 of the last t = ceil(cap/q) + 1 letters of its preimage, so each distinct
 such suffix is searched once. Preimages longer than t add no window.
-Searches and avoider counting shard over processes with
-patterns.map_workers, one window or one first letter per job; the third
-pool site is the enumeration, patterns.enumerate_remaining, one job per
-worker, a round-robin chunk of candidates, searched pattern-major. Reports
-and counts are the same for any worker count.
+The windows and the first letters of avoider counting are split over
+processes by patterns.map_workers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Optional
 
@@ -154,55 +151,62 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
         raise ValueError("caps must be positive")
     tail = -(-cap // q) + 1
     first: dict[str, tuple[int, str]] = {}  # suffix -> (stream index, preimage)
-    checked = searched = 0
+    checked = 0
     found = None
     stream = generate_free_words(entry.morphism.domain_size, FREE_EXPONENT,
                                  max_preimage_len)
     for checked, w in enumerate(stream, 1):
         first.setdefault(w[-tail:], (checked, w))
-    jobs = [(entry.pattern, entry.morphism, key, cap) for key in first]
-    with closing(map_workers(_search_window, jobs, workers)) as hits:
-        for searched, ((key, (index, w)), rel) in enumerate(
-                zip(first.items(), hits), 1):
-            if rel is not None:
-                checked = index
-                found = (w, Occurrence(rel.start + (len(w) - len(key)) * q,
-                                       rel.images))
-                break
+    keys = list(first)
+    searched = len(keys)
+    hits = map_workers(partial(_first_hit, entry.pattern, entry.morphism, cap),
+                       enumerate(keys), workers)
+    hit = min(filter(None, hits), default=None)
+    if hit is not None:
+        i, rel = hit
+        searched = i + 1
+        checked, w = first[keys[i]]
+        found = (w, Occurrence(rel.start + (len(w) - len(keys[i])) * q,
+                               rel.images))
     return VerificationReport(entry.pattern, entry.morphism_id,
                               max_preimage_len, cap,
                               min(cap, max_preimage_len * q), checked,
                               searched, found is None, found)
 
 
-def _search_window(job) -> Optional[Occurrence]:
-    # occurrences in the image of a preimage suffix that end in its last block
-    pattern, morphism, key, cap = job
-    window = apply_morphism(morphism, key)
-    return find_occurrence(pattern, window, cap,
-                           min_end=(len(key) - 1) * morphism.uniform_len + 1)
+def _first_hit(pattern: str, morphism: Morphism, cap: int, chunk: list
+               ) -> Optional[tuple[int, Occurrence]]:
+    # the first (window index, occurrence) of the chunk's (index, preimage
+    # suffix) pairs, for occurrences in the image of the suffix that end in
+    # its last block
+    for i, key in chunk:
+        occ = find_occurrence(pattern, apply_morphism(morphism, key), cap,
+                              min_end=(len(key) - 1) * morphism.uniform_len + 1)
+        if occ is not None:
+            return i, occ
+    return None
 
 
 def count_avoiding(p: str, m: int, up_to: int, workers: int = 1) -> list[int]:
     """n_i = number of words of length i over Sigma_m with no occurrence of
-    p, for i = 0..up_to, by DFS over the prefix tree (words.grow), one job
-    per first letter; each new word is searched only for occurrences
-    ending at its last letter.
+    p, for i = 0..up_to, by DFS over the prefix tree (words.grow), with the
+    first letters split by map_workers; each new word is searched only for
+    occurrences ending at its last letter.
     """
     pat = Pattern(p)
     if not 1 <= m <= MAX_ALPHABET:
         raise ValueError(f"alphabet size {m} outside 1..{MAX_ALPHABET}")
     if up_to < 0:
         raise ValueError(f"up_to must be non-negative, got {up_to}")
-    jobs = [(first, str(pat), m, up_to) for first in range(m)] if up_to else []
-    lengths = sum(map_workers(_count_shard, jobs, workers), Counter())
+    lengths = sum(map_workers(partial(_count_shard, str(pat), m, up_to),
+                              DISPLAY[:m] if up_to else "", workers), Counter())
     return [1] + [lengths[n] for n in range(1, up_to + 1)]
 
 
-def _count_shard(args) -> Counter:
-    first, p, m, up_to = args
+def _count_shard(p: str, m: int, up_to: int, firsts: list[str]) -> Counter:
+    # avoiders by length, grown from one chunk of first letters
     plen = len(p)
-    avoiders = grow(DISPLAY[first], DISPLAY[:m], up_to, lambda w: len(w) < plen
+    avoiders = grow(firsts, DISPLAY[:m], up_to, lambda w: len(w) < plen
                     or find_occurrence(p, w, min_end=len(w)) is None)
     return Counter(map(len, avoiders))
 

@@ -16,10 +16,10 @@ reproduces the sporadic candidate lists up to reversal symmetry.
 Canonical patterns are the restricted growth strings. One depth-first walk
 of their prefixes, over every length up to the bound at once, gives both
 the doubled patterns that containment searches for and the candidates of
-the enumeration. The enumeration runs one job per worker, a round-robin
-chunk of candidates, searched pattern-major: each smaller doubled pattern
-is tried once in every candidate of the chunk still free of a hit, so
-consecutive searches share their pattern.
+the enumeration. The enumeration searches its candidates pattern-major:
+each smaller doubled pattern is tried once in every candidate still free of
+a hit, so consecutive searches share their pattern. map_workers is the
+one place that splits the work of the --workers options over processes.
 
 The backtracking tries image lengths in increasing order and prunes with
 where each variable must occur again: the image of a variable that recurs
@@ -42,7 +42,7 @@ import string
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 VARS = string.ascii_uppercase
 
@@ -59,40 +59,37 @@ class Pattern(str):
         return super().__new__(cls, text)
 
 
-def map_workers(fn: Callable, jobs: Iterable, workers: int = 1) -> Iterator:
-    """fn over jobs, results lazily in job order: in-process when one
-    process suffices, else from a process pool of _pool_size(workers, number
-    of jobs) processes. A caller that stops early skips the rest:
-    in-process the rest never runs, and closing the iterator (or dropping
-    it) shuts the pool down with its pending jobs cancelled.
+def map_workers(fn: Callable, items: Iterable, workers: int = 1) -> list:
+    """[fn(chunk) for each chunk of items]: the one place that splits work
+    over processes. The items are dealt round-robin into n = min(workers,
+    cpu count, number of items) chunks, items[i::n]. With n <= 1, fn runs
+    in-process, once, on the whole list in order (empty if there are no
+    items); otherwise each chunk, never empty, runs in its own process of
+    a pool of n. ValueError unless workers >= 1.
 
-    fn must be a module-level function so the pool can pickle it. Each of
-    the three callers passes independent jobs: a verify window
-    (certify.verify_entry), a first letter (certify.count_avoiding), or,
-    for enumerate_remaining, one round-robin chunk of candidates per
-    worker, searched pattern-major.
+    fn must pickle (a module-level function, or a partial of one), and a
+    chunk result says which items it covers, so callers combine the results
+    without knowing the deal, and outputs are the same for any worker
+    count. The callers:
+
+    - certify.verify_entry: items are (window index, preimage suffix)
+      pairs; a chunk returns its first hit, so a pooled verify stops each
+      chunk at its own first hit, and the report takes the least index;
+    - certify.count_avoiding: items are first letters; a chunk grows the
+      avoiders from all of its letters and counts them by length, and the
+      Counters are summed;
+    - enumerate_remaining: items are candidates; a chunk returns those
+      with no smaller doubled pattern, searched pattern-major, and the
+      results are unioned.
     """
-    jobs = list(jobs)
-    return _lazy_map(fn, jobs, _pool_size(workers, len(jobs)))
-
-
-def _pool_size(workers: int, n_jobs: int) -> int:
-    """Processes map_workers runs n_jobs on: min(workers, cpu count,
-    n_jobs), one meaning in-process; ValueError unless workers >= 1."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1, n_jobs)
-
-
-def _lazy_map(fn: Callable, jobs: list, size: int) -> Iterator:
-    if size <= 1:
-        yield from map(fn, jobs)
-        return
-    pool = ProcessPoolExecutor(max_workers=size)
-    try:
-        yield from pool.map(fn, jobs)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    items = list(items)
+    n = min(workers, os.cpu_count() or 1, len(items))
+    if n <= 1:
+        return [fn(items)]
+    with ProcessPoolExecutor(n) as pool:
+        return list(pool.map(fn, [items[i::n] for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -329,11 +326,11 @@ def find_doubled_factor(p: str) -> Optional[str]:
     return None
 
 
-def _fewer_variable_free(chunk: list[str]) -> list[bool]:
-    # one enumeration job: which candidates of the chunk, all on the same
-    # v variables, contain no doubled pattern on fewer variables
-    return [hit is None for hit in
-            _first_doubled_hits(chunk, len(set(chunk[0])) - 1)]
+def _fewer_variable_free(chunk: list[str]) -> list[str]:
+    # the candidates of the chunk, all on the same v variables, that
+    # contain no doubled pattern on fewer variables
+    return [p for p, hit in zip(
+        chunk, _first_doubled_hits(chunk, len(set(chunk[0])) - 1)) if not hit]
 
 
 def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
@@ -344,10 +341,7 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
     avoidability index), that contain no doubled occurrence on fewer
     variables, deduplicated modulo reversal keeping the lexicographically
     smaller form; sorted. The candidates come from the same walk as
-    doubled_patterns_upto. The containment search runs as one map_workers
-    job per worker, a round-robin chunk of candidates, searched
-    pattern-major: each smaller doubled pattern is tried once in every
-    candidate of the chunk still free of a hit.
+    doubled_patterns_upto; map_workers splits their containment search.
     """
     if v not in (4, 5):
         raise ValueError("enumeration is defined for v in {4, 5}")
@@ -355,11 +349,7 @@ def enumerate_remaining(v: int, workers: int = 1) -> list[str]:
     prefix = VARS[:k]
     candidates = [p for p in _doubled_walk(v, 2 * v, True) if len(p) == 2 * v
                   and not p.startswith(prefix) and not reverse(p).startswith(prefix)]
-    n = _pool_size(workers, len(candidates))
-    chunks = [candidates[i::n] for i in range(n)]
-    kept = {p for chunk, free in zip(chunks, map_workers(
-        _fewer_variable_free, chunks, workers))
-        for p, ok in zip(chunk, free) if ok}
+    kept = set().union(*map_workers(_fewer_variable_free, candidates, workers))
     return sorted(p for p in kept
                   if not (reverse(p) in kept and reverse(p) < p))
 

@@ -20,9 +20,8 @@ settings.load_profile("suite")
 def recording_pools(monkeypatch):
     """Replace the process pool behind patterns.map_workers with a fake
     that runs jobs in-process, so no process is ever started. Each pool
-    records its size, the jobs submitted to it, and at shutdown which of
-    them were still pending and got cancelled. Returns the list of pools
-    made."""
+    records its size and the jobs (chunks) submitted to it. Returns the
+    list of pools made."""
     from avoidance import patterns
 
     pools = []
@@ -31,19 +30,17 @@ def recording_pools(monkeypatch):
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.jobs = []
-            self.pending = []
-            self.cancelled = None
             pools.append(self)
 
-        def map(self, fn, jobs):
-            # a real pool submits every job at once and yields in order
-            self.jobs = list(jobs)
-            self.pending = list(self.jobs)
-            while self.pending:
-                yield fn(self.pending.pop(0))
+        def __enter__(self):
+            return self
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.cancelled = list(self.pending) if cancel_futures else []
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.jobs = list(jobs)
+            return map(fn, self.jobs)
 
     monkeypatch.setattr(patterns, "ProcessPoolExecutor", Pool)
     return pools

@@ -42,6 +42,25 @@ UNARY_STARTS_AT_THREE_Q = {
     "ABACDBDECE": (0, 17, 41, 63, 105),
 }
 UNARY_A_AT_THREE_Q = {"ABACDBDECE": ("0", "11", "1", "1", "11")}
+# (workers, cpu count): a real pool of 2 where the machine has 2 CPUs, and
+# the in-process fake pool of conftest.recording_pools on 4 CPUs, so that
+# the chunk results are combined on any machine
+PARALLEL = [(2, None), (3, 4)]
+
+
+def fake_cpus(request, monkeypatch, cpus):
+    if cpus is not None:
+        from avoidance import patterns
+
+        request.getfixturevalue("recording_pools")
+        monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
+
+
+def unary_image(e, letter):
+    # the entry with the image of one letter made unary
+    images = list(e.morphism.images)
+    images[letter] = "0" * e.morphism.uniform_len
+    return CorpusEntry(e.pattern, Morphism(tuple(images)), e.ae)
 
 
 class TestMorphism:
@@ -191,36 +210,49 @@ class TestVerifyEntry:
         a = verify_entry(e, max_preimage_len=3)
         assert a == verify_entry(e, max_preimage_len=3, workers=2)
 
+    @pytest.mark.parametrize("workers, cpus", PARALLEL)
     @pytest.mark.parametrize("letter, first_use", enumerate(FIRST_USE))
-    def test_parallel_matches_serial_on_counterexamples(self, letter, first_use):
+    def test_parallel_matches_serial_on_counterexamples(
+            self, request, monkeypatch, letter, first_use, workers, cpus):
         # a unary image is caught at the first preimage using its letter,
         # which for letters past 0 is not the first preimage of the stream
-        e = corpus()[0]
-        images = list(e.morphism.images)
-        images[letter] = "0" * e.morphism.uniform_len
-        bad = CorpusEntry(e.pattern, Morphism(tuple(images)), e.ae)
+        bad = unary_image(corpus()[0], letter)
         a = verify_entry(bad)
-        assert a == verify_entry(bad, workers=2)
+        fake_cpus(request, monkeypatch, cpus)
+        assert a == verify_entry(bad, workers=workers)
         assert not a.passed
         preimage, _ = a.counterexample
         assert preimage == first_use
         assert a.preimages_checked == len(first_use)
 
-    def test_pool_cancels_the_windows_after_the_first_hit(
-            self, monkeypatch, recording_pools):
+    # the windows at cap 2q are the 85 free words of length <= 3; with the
+    # image of letter 2 unary the first hits are at windows 2, 3, 9 and 16
+    @pytest.mark.parametrize("cpus, searched", [
+        (2, [0, 2, 1, 3]),
+        (3, [0, 3, 1, 4, 7, 10, 13, 16, 2]),  # chunk 0's hit is not the least
+    ])
+    def test_pool_stops_each_chunk_at_its_first_hit(
+            self, monkeypatch, recording_pools, cpus, searched):
         from avoidance import patterns
 
-        monkeypatch.setattr(patterns.os, "cpu_count", lambda: 2)
-        e = corpus()[0]
-        images = list(e.morphism.images)
-        images[2] = "0" * e.morphism.uniform_len
-        bad = CorpusEntry(e.pattern, Morphism(tuple(images)), e.ae)
+        monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
+        bad = unary_image(corpus()[0], 2)
         serial = verify_entry(bad)
-        assert recording_pools == []
-        assert verify_entry(bad, workers=2) == serial
+        assert serial.windows_searched == 3
+        keys = []
+        real = certify.apply_morphism
+
+        def recording(m, key):
+            keys.append(key)
+            return real(m, key)
+
+        monkeypatch.setattr(certify, "apply_morphism", recording)
+        assert verify_entry(bad, workers=cpus) == serial
         (pool,) = recording_pools
-        windows = 85  # free words of length <= 3: the windows at cap 2q
-        assert len(pool.cancelled) == windows - serial.windows_searched > 0
+        index = {key: i for chunk in pool.jobs for i, key in chunk}
+        assert sorted(index.values()) == list(range(85))
+        # each chunk, items[i::cpus], is searched up to its first hit
+        assert [index[key] for key in keys] == searched
 
     def test_all_entries_pass_at_three_times_the_uniform_length(self):
         # the 2q gate of the acceptance suite, at a larger cap
@@ -360,8 +392,11 @@ class TestCountAvoiding:
     def test_zero_length(self):
         assert count_avoiding("AA", 3, 0) == [1]
 
-    def test_parallel_matches_serial(self):
-        assert count_avoiding("AA", 3, 8, workers=2) == count_avoiding("AA", 3, 8)
+    @pytest.mark.parametrize("workers, cpus", PARALLEL)
+    def test_parallel_matches_serial(self, request, monkeypatch, workers, cpus):
+        serial = count_avoiding("AA", 3, 8)
+        fake_cpus(request, monkeypatch, cpus)
+        assert count_avoiding("AA", 3, 8, workers=workers) == serial
 
     @pytest.mark.parametrize("m, up_to, workers",
                              [(3, -1, 1), (0, 4, 1), (27, 4, 1), (3, 4, 0),

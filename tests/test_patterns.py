@@ -345,47 +345,42 @@ def test_enumeration_searches_what_the_candidate_loop_searches(
     assert sorted(seen) == sorted(want)
 
 
-@pytest.mark.parametrize("workers, cpus, n_jobs, size", [
+@pytest.mark.parametrize("workers, cpus, n_items, size", [
     (1000, 4, 10, 4),
     (3, 4, 10, 3),
     (1000, 4, 2, 2),
     (2, None, 10, None),  # unknown cpu count counts as one: no pool
     (8, 4, 1, None),
     (1, 4, 10, None),
+    (3, 4, 0, None),  # no items: fn still runs once, on the empty list
 ])
 def test_map_workers_pool_size(monkeypatch, recording_pools, workers, cpus,
-                               n_jobs, size):
+                               n_items, size):
     monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
-    jobs = list(range(n_jobs))
-    assert list(map_workers(abs, jobs, workers)) == jobs
-    assert [p.max_workers for p in recording_pools] == \
-        ([] if size is None else [size])
-    assert all(p.cancelled == [] for p in recording_pools)
+    items = list(range(n_items))
+    chunks = []
+
+    def record(chunk):
+        chunks.append(chunk)
+        return len(chunks)
+
+    results = map_workers(record, iter(items), workers)
+    assert results == list(range(1, len(chunks) + 1))
+    if size is None:
+        assert recording_pools == []
+        assert chunks == [items]
+    else:
+        (pool,) = recording_pools
+        assert pool.max_workers == size
+        assert pool.jobs == chunks == [items[i::size] for i in range(size)]
+        assert all(chunks)
 
 
-def test_map_workers_cancels_pending_jobs_when_the_consumer_stops(
-        monkeypatch, recording_pools):
-    monkeypatch.setattr(patterns.os, "cpu_count", lambda: 2)
-    results = map_workers(abs, [-1, -2, -3, -4], 2)
-    assert recording_pools == []  # nothing starts before the first result
-    assert next(results) == 1
-    results.close()
-    (pool,) = recording_pools
-    assert pool.cancelled == [-2, -3, -4]
-
-
+@pytest.mark.parametrize("items", [[1, 2], []])
 @pytest.mark.parametrize("workers", [0, -3])
-def test_map_workers_rejects_non_positive_workers(workers):
+def test_map_workers_rejects_non_positive_workers(workers, items):
     with pytest.raises(ValueError):
-        map_workers(abs, [1, 2], workers)
-
-
-def test_map_workers_in_process_is_lazy():
-    seen = []
-    results = map_workers(seen.append, [1, 2, 3])
-    assert seen == []
-    next(iter(results))
-    assert seen == [1]
+        map_workers(len, items, workers)
 
 
 @pytest.mark.parametrize("v, candidates", [(4, 105), (5, 135)])
