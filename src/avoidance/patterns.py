@@ -27,7 +27,9 @@ in p has to reappear in w past the least length of the pattern letters in
 between, and early enough to leave room for the least length of the
 letters after that copy. In a doubled pattern every variable recurs, so
 image lengths are bounded by the repeats of the host word, which are short
-in the images of (5/4+)-free words that the corpus morphisms produce. A
+in the images of (5/4+)-free words that the corpus morphisms produce.
+When the letter after a newly met variable is already bound, only the
+lengths at which that letter's image follows in w are tried. A
 search restricted to occurrences ending at or past min_end > 0 is anchored
 at the end: it first matches the mirrored pattern in the mirrored word at
 each end from |w| down to min_end, and stops there if none matches. That
@@ -133,7 +135,7 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
     length in increasing order, with immediate mismatch pruning for bound
     variables and a remaining-minimum-length prune.
 
-    Two prunes cut only lengths and calls that cannot match, so the first
+    Three cuts skip only lengths and calls that cannot match, so the first
     occurrence is the same as without them:
 
     - recurrence: a variable that occurs again later in p needs its image
@@ -143,6 +145,10 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
       copy before the limit; neither bound depends on the image length, so
       once a length fails, every longer one does, and the binding loop
       stops;
+    - jump: when the pattern letter right after a newly met variable is
+      already bound, the variable's image can only end where that letter's
+      image starts, so the binding loop finds those positions in w, in
+      increasing order, and skips the lengths in between;
     - end anchor: when min_end > 0 an occurrence must end at one of the
       positions min_end..len(w), so the reversed pattern is first matched
       in the reversed word from each of those ends, and the forward search
@@ -228,14 +234,20 @@ def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
         lmax = (limit - pos - rest) // (1 + same)
         # the next copy of v must leave room for the least length after it
         bound = limit - (rest - gap) - (same - 1)
-        for l in range(1, lmax + 1):
-            img = w[pos:pos + l]
-            if same and find(img, pos + l + gap, bound) < 0:
+        # v's image ends at j; when the next letter is bound, only where
+        # its image starts
+        top = pos + lmax
+        nxt = images[pvars[t + 1]] if t + 1 < plen else None
+        j = pos + 1 if nxt is None else find(nxt, pos + 1, top + len(nxt))
+        while 0 < j <= top:
+            img = w[pos:j]
+            if same and find(img, j + gap, bound) < 0:
                 break
             images[v] = img
-            end = match(t + 1, pos + l, limit)
+            end = match(t + 1, j, limit)
             if end >= 0:
                 return end
+            j = j + 1 if nxt is None else find(nxt, j + 1, top + len(nxt))
         images[v] = None
         return -1
 

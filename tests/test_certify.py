@@ -303,6 +303,14 @@ class TestVerifyEntry:
     @pytest.mark.parametrize("entry, survivors", [
         ("ABACBDCD", [(0, 13), (2, 5), (3, 13)]),
         ("ABACBDCEDE", [(1, 14), (3, 12)]),
+        ("ABCADCBD", [(3, 15), (4, 3)]),
+        ("ABACDBDC", []),
+        ("ABACDCBD", []),
+        ("ABCADBDC", []),
+        ("ABCADCDB", []),
+        ("ABCBDADC", []),
+        ("ABACDBCEDE", []),
+        ("ABACDBDECE", []),
     ])
     def test_single_bit_mutants_passing_the_default_bound(self, entry,
                                                            survivors):

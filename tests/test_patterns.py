@@ -173,6 +173,30 @@ def test_mid_window_anchor_finds_the_first_occurrence(raw, w, data):
     assert (None if got is None else (got.start, got.images)) == want
 
 
+def jumps(p):
+    # some variable met for the first time is followed by one already bound
+    return any(p[t] not in p[:t] and p[t + 1] in p[:t]
+               for t in range(1, len(p) - 1))
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="ABC", min_size=3, max_size=6).map(canonicalize)
+       .filter(jumps),
+       st.text(alphabet="012", min_size=0, max_size=9), st.data())
+def test_jump_to_the_next_bound_image_finds_the_first_occurrence(p, w, data):
+    # the new variable's image may end only where the bound image after it
+    # starts; a cap equal to the first occurrence's length, or min_end =
+    # len(w), makes occurrences that fill the limit exactly
+    first = oracles.brute_first_occurrence(p, w)
+    filled = sum(len(first[1][v]) for v in p) if first else 0
+    cap = data.draw(st.one_of(st.none(), st.just(filled),
+                              st.integers(0, len(w))))
+    min_end = data.draw(st.one_of(st.just(len(w)), st.integers(0, len(w))))
+    got = find_occurrence(p, w, cap, min_end)
+    want = oracles.brute_first_occurrence(p, w, cap, min_end)
+    assert (None if got is None else (got.start, got.images)) == want
+
+
 def test_doubled_patterns_upto_ordering_and_membership():
     ps = doubled_patterns_upto(4, 8)
     assert [str(p) for p in ps[:4]] == ["AA", "AAA", "AAAA", "AABB"]
