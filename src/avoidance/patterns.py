@@ -35,12 +35,21 @@ at the end: it first matches the mirrored pattern in the mirrored word at
 each end from |w| down to min_end, and stops there if none matches. That
 is one end for each extension test of avoider counting (min_end = |w|) and
 the q ends of the last block of a verify window.
+
+The matcher is compiled once per pattern and kept in a cache; each search
+rebinds it to its host. It branches only at the first occurrence of a
+variable, and a row per first occurrence, built the first time a search
+reaches it, holds what that step needs: which later letters are bound, the
+jump letter, and the run of bound letters up to the next first occurrence.
+Because searches share the matcher, find_occurrence is not reentrant
+across threads; the library parallelises with processes only.
 """
 
 from __future__ import annotations
 
 import os
 import string
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -159,6 +168,12 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
     min_end; incremental callers use it to skip the already-searched prefix
     of w. The recursion depth is the number of distinct variables, at most
     26 for a Pattern, whatever |p|.
+
+    The matcher of p is compiled once, with one row per first occurrence of
+    a variable, each built the first time a search reaches it, and every
+    call rebinds that one matcher to w (_compile). Two threads searching
+    for the same pattern at once would share it: the function is not
+    reentrant across threads, and map_workers splits work over processes.
     """
     if max_image_total is not None and max_image_total < 0:
         raise ValueError(f"image cap {max_image_total} must be non-negative")
@@ -170,13 +185,15 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
     if min_end > 0:
         # an occurrence ending at n - s is a mirrored one starting at s; no
         # min()/max() in this loop: they made avoider counting 5-10% slower
-        mirror, _, _ = _matcher(p[::-1], w[::-1], 0)
+        bind, mirror, _, _ = _compile(p[::-1])
+        bind(w[::-1], 0)
         s = 0
         while mirror(0, s, s + budget if s + budget < n else n) < 0:
             s += 1
             if s > n - min_end or s > n - plen:
                 return None
-    match, images, order = _matcher(p, w, min_end)
+    bind, match, images, order = _compile(p)
+    bind(w, min_end)
     for start in range(max(0, min_end - budget), n - plen + 1):
         end = match(0, start, min(n, start + budget))
         if end >= 0:
@@ -191,67 +208,124 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
 def variables(p: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The variables of p in order of first appearance, and p as their
     indices in that order."""
-    order = tuple(sorted(set(p), key=p.index))
-    index = {c: i for i, c in enumerate(order)}
-    return order, tuple(index[c] for c in p)
+    index = {c: i for i, c in enumerate(dict.fromkeys(p))}
+    return tuple(index), tuple(map(index.__getitem__, p))
 
 
-def _matcher(p: str, w: str, min_end: int) -> tuple[Callable, list, tuple]:
-    """match(t, pos, limit) -> end of an occurrence of p[t:] at pos within
-    w[:limit] (ending at >= min_end), or -1, with the images it bound left
-    in the returned list, indexed like the returned variables (in order of
-    first appearance); on -1 the images bound by the call are reset."""
+@lru_cache(maxsize=64)
+def _compile(p: str) -> tuple[Callable, Callable, list, tuple]:
+    """The matcher of p, compiled once: (bind, match, images, order).
+
+    bind(w, min_end) points match at the host w. Then match(k, pos, limit)
+    -> end of an occurrence of p[t:] at pos within w[:limit] (ending at >=
+    min_end), or -1, where t is the first occurrence of variable k in p
+    (match(0, ...) searches all of p); on a hit, images holds the image of
+    each variable, indexed like order (the variables in order of first
+    appearance).
+
+    The search branches only at a first occurrence t, and there the bound
+    variables are exactly those met before t. So a row per first
+    occurrence, built by _row the first time a search reaches it, says
+    which letters after t are bound, and the search reads only images that
+    it bound itself on the current path: images needs no clearing between
+    searches, and a stale image from an earlier host is never read. The
+    cache keeps each matcher's last host alive until it is rebound.
+    """
     order, pvars = variables(p)
-    plen = len(pvars)
     images: list[Optional[str]] = [None] * len(order)
-    find = w.find
-    startswith = w.startswith
+    rows: list[Optional[tuple]] = [None] * len(order)
+    w = find = startswith = min_end = None
 
-    def match(t: int, pos: int, limit: int) -> int:
-        # bound variables need no choice: check them without recursing
-        while t < plen:
-            v = pvars[t]
-            img = images[v]
-            if img is None:
-                break
-            if not startswith(img, pos, limit):
-                return -1
-            pos += len(img)
-            t += 1
-        else:
-            return pos if pos >= min_end else -1
-        # least length of the letters after t other than v, and of those
-        # before the next v (gap), unbound variables counting one letter
-        rest = same = gap = 0
-        for u in pvars[t + 1:]:
-            if u == v:
-                if not same:
-                    gap = rest
-                same += 1
-            else:
-                other = images[u]
-                rest += 1 if other is None else len(other)
-        lmax = (limit - pos - rest) // (1 + same)
-        # the next copy of v must leave room for the least length after it
-        bound = limit - (rest - gap) - (same - 1)
-        # v's image ends at j; when the next letter is bound, only where
+    def bind(host, least_end):
+        nonlocal w, find, startswith, min_end
+        w, find, startswith, min_end = host, host.find, host.startswith, least_end
+
+    def match(k, pos, limit):
+        r = rows[k]
+        if r is None:
+            r = rows[k] = _row(pvars, k)
+        same, gap, gap_bound, tail, tail_bound, jump, run, nk = r
+        for u in gap_bound:
+            gap += len(images[u])
+        for u in tail_bound:
+            tail += len(images[u])
+        lmax = (limit - pos - gap - tail) // (1 + same)
+        # the next copy of k must leave room for the least length after it
+        bound = limit - tail - (same - 1)
+        # k's image ends at j; when the next letter is bound, only where
         # its image starts
         top = pos + lmax
-        nxt = images[pvars[t + 1]] if t + 1 < plen else None
+        nxt = None if jump is None else images[jump]
         j = pos + 1 if nxt is None else find(nxt, pos + 1, top + len(nxt))
         while 0 < j <= top:
             img = w[pos:j]
             if same and find(img, j + gap, bound) < 0:
                 break
-            images[v] = img
-            end = match(t + 1, j, limit)
-            if end >= 0:
-                return end
+            images[k] = img
+            # the bound letters up to the next first occurrence; find has
+            # placed the jump letter already
+            end = j if nxt is None else j + len(nxt)
+            for u in run:
+                other = images[u]
+                if not startswith(other, end, limit):
+                    break
+                end += len(other)
+            else:
+                if nk < 0:
+                    if end >= min_end:
+                        return end
+                else:
+                    end = again()(nk, end, limit)
+                    if end >= 0:
+                        return end
             j = j + 1 if nxt is None else find(nxt, j + 1, top + len(nxt))
-        images[v] = None
         return -1
 
-    return match, images, order
+    # match reaches itself through a weak reference: a closure cell would
+    # make each matcher a cycle, and the matchers that the enumeration
+    # evicts from the cache would pile up until a full garbage collection
+    again = weakref.ref(match)
+    return bind, match, images, order
+
+
+def _row(pvars: tuple[int, ...], k: int) -> tuple:
+    """The plan of the search at the first occurrence t of variable k in
+    pvars (a pattern as variable indices in order of first appearance),
+    where exactly the variables below k are bound: (same, gap, gap_bound,
+    tail, tail_bound, jump, run, next).
+
+    same counts the copies of k after t. The letters between t and the next
+    copy of k (all letters after t if there is none) make the gap, the
+    other letters after that copy, not k, the tail; gap and tail count
+    their unbound letters, one letter each, and gap_bound and tail_bound
+    list their bound ones, whose image lengths are added. jump is the next
+    letter if it is bound, else None. run is the letters after t, and after
+    jump, which the search places with find, up to the next first
+    occurrence; all of them are bound once k is. next is k + 1, or -1 when
+    run ends the pattern."""
+    t = pvars.index(k)
+    after = pvars[t + 1:]
+    same = gap = tail = 0
+    gap_bound: list[int] = []
+    tail_bound: list[int] = []
+    run = len(after)
+    for i, u in enumerate(after):
+        if u == k:
+            same += 1
+        elif u > k:
+            if run > i:
+                run = i
+            if same:
+                tail += 1
+            else:
+                gap += 1
+        elif same:
+            tail_bound.append(u)
+        else:
+            gap_bound.append(u)
+    jump = after[0] if after and after[0] < k else None
+    return (same, gap, tuple(gap_bound), tail, tuple(tail_bound), jump,
+            after[0 if jump is None else 1:run], k + 1 if run < len(after) else -1)
 
 
 @lru_cache(maxsize=32)

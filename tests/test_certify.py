@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from avoidance import certify
+from avoidance import certify, patterns
 from avoidance.certify import (
     CorpusEntry,
     Morphism,
@@ -50,8 +50,6 @@ PARALLEL = [(2, None), (3, 4)]
 
 def fake_cpus(request, monkeypatch, cpus):
     if cpus is not None:
-        from avoidance import patterns
-
         request.getfixturevalue("recording_pools")
         monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
 
@@ -233,8 +231,6 @@ class TestVerifyEntry:
     ])
     def test_pool_stops_each_chunk_at_its_first_hit(
             self, monkeypatch, recording_pools, cpus, searched):
-        from avoidance import patterns
-
         monkeypatch.setattr(patterns.os, "cpu_count", lambda: cpus)
         bad = unary_image(corpus()[0], 2)
         serial = verify_entry(bad)
@@ -427,6 +423,13 @@ class TestCountAvoiding:
         monkeypatch.setattr(certify, "find_occurrence", counting)
         assert sum(count_avoiding("AAABBCCDD", 3, 10)) == 88_009
         assert calls == 78_489
+
+    def test_compiles_the_pattern_and_its_mirror_once(self):
+        # 78,489 searches, each rebinding one of two compiled matchers
+        compile_ = patterns._compile
+        compile_.cache_clear()
+        assert count_avoiding("AAABBCCDD", 3, 10)[10] == 58_566
+        assert compile_.cache_info().misses <= 2
 
     def test_pattern_longer_than_any_extension_never_blocks(self):
         got = count_avoiding("AAAA", 2, 6)

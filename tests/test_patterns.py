@@ -1,5 +1,9 @@
+import gc
+import hashlib
+import itertools
 import random
 import string
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +199,102 @@ def test_jump_to_the_next_bound_image_finds_the_first_occurrence(p, w, data):
     got = find_occurrence(p, w, cap, min_end)
     want = oracles.brute_first_occurrence(p, w, cap, min_end)
     assert (None if got is None else (got.start, got.images)) == want
+
+
+# SHA-256 of the first occurrences of the 30,000 searches below, recorded
+# with the per-call matcher that the compiled one replaced: any change to a
+# first occurrence, its start or an image, changes it
+FIRST_OCCURRENCES_SHA256 = (
+    "b019fa772de32b16f357a5a870d2adb6cf88588a24cd76db115378370bd87548")
+
+
+def test_first_occurrences_match_the_recorded_digest():
+    # patterns of up to 4 variables and 7 letters, hosts over 01 or 012 of
+    # up to 30 letters, no cap or a random one, min_end 0, |w| or random
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for _ in range(30_000):
+        p = canonicalize("".join(rng.choice("ABCD")
+                                 for _ in range(rng.randint(1, 7))))
+        w = "".join(rng.choice(rng.choice(("01", "012")))
+                    for _ in range(rng.randint(0, 30)))
+        cap = rng.choice((None, rng.randint(0, len(w) + 1)))
+        min_end = rng.choice((0, len(w), rng.randint(0, len(w) + 1)))
+        occ = find_occurrence(p, w, cap, min_end)
+        digest.update(repr(None if occ is None else
+                           (occ.start, sorted(occ.images.items()))).encode())
+    assert digest.hexdigest() == FIRST_OCCURRENCES_SHA256
+
+
+def first(p, w, cap=None, min_end=0):
+    occ = find_occurrence(p, w, cap, min_end)
+    return None if occ is None else (occ.start, occ.images)
+
+
+def binary_words(max_len):
+    return ["".join(t) for n in range(max_len + 1)
+            for t in itertools.product("01", repeat=n)]
+
+
+class TestCompiledMatcher:
+    # one matcher per pattern, kept between searches and rebound to each
+    # host: nothing of one search may leak into the next
+
+    @pytest.mark.parametrize("p", ["ABA", "ABBA", "AABAA", "ABCBA"])
+    def test_palindrome_shares_its_matcher_with_the_mirror_search(self, p):
+        # the end anchor matches p[::-1] == p in w[::-1], then the same
+        # matcher searches w forward
+        assert patterns._compile(p[::-1]) is patterns._compile(p)
+        for w in binary_words(7):
+            for min_end in range(1, len(w) + 1):
+                assert first(p, w, None, min_end) == \
+                    oracles.brute_first_occurrence(p, w, None, min_end)
+
+    @pytest.mark.parametrize("p", ["ABAB", "AABB", "ABACBC", "ABCA"])
+    def test_search_after_a_hit_on_another_host(self, p):
+        # each search follows a hit in another host, with other images
+        hosts = [w for w in binary_words(8) + ["012012", "0120120"]
+                 if oracles.brute_first_occurrence(p, w) is not None]
+        rng = random.Random(p)
+        for w in binary_words(7):
+            other = rng.choice(hosts)
+            assert first(p, other) == oracles.brute_first_occurrence(p, other)
+            min_end = rng.randint(0, len(w))
+            assert first(p, w, None, min_end) == \
+                oracles.brute_first_occurrence(p, w, None, min_end)
+
+    def test_images_left_by_earlier_searches_are_never_read(self):
+        # a search reads only the images it bound on its own path, so the
+        # list is never cleared: filling it with junk changes no result
+        p = "ABACBC"
+        images = patterns._compile(p)[2]
+        for w in binary_words(7):
+            images[:] = ["01" * 9] * len(images)
+            assert first(p, w, None, len(w)) == \
+                oracles.brute_first_occurrence(p, w, None, len(w))
+
+    def test_an_evicted_matcher_is_freed_at_once(self):
+        # no reference cycle keeps a matcher alive after the cache drops it
+        match = weakref.ref(patterns._compile("ABACBC")[1])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            patterns._compile.cache_clear()
+            assert match() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_one_pattern_in_many_hosts_in_a_row(self):
+        # ABACBC: C jumps to B's image, then C is a bound run; hosts of
+        # every length, each shorter or longer than the one before
+        p = "ABACBC"
+        hosts = binary_words(8) + ["2" + w[::-1] for w in binary_words(6)]
+        for w in random.Random(0).sample(hosts, len(hosts)):
+            assert first(p, w) == oracles.brute_first_occurrence(p, w)
+            cap = max(len(w) - 1, 0)
+            assert first(p, w, cap, len(w)) == \
+                oracles.brute_first_occurrence(p, w, cap, len(w))
 
 
 def test_doubled_patterns_upto_ordering_and_membership():
