@@ -159,7 +159,7 @@ def verify_entry(entry: CorpusEntry, max_preimage_len: int = DEFAULT_PREIMAGE_LE
         first.setdefault(w[-tail:], (checked, w))
     keys = list(first)
     searched = len(keys)
-    hits = map_workers(partial(_first_hit, entry.pattern, entry.morphism, cap),
+    hits = map_workers(partial(_first_hit, str(entry.pattern), entry.morphism, cap),
                        enumerate(keys), workers)
     hit = min(filter(None, hits), default=None)
     if hit is not None:

@@ -36,13 +36,13 @@ each end from |w| down to min_end, and stops there if none matches. That
 is one end for each extension test of avoider counting (min_end = |w|) and
 the q ends of the last block of a verify window.
 
-The matcher is compiled once per pattern and kept in a cache; each search
-rebinds it to its host. It branches only at the first occurrence of a
-variable, and a row per first occurrence, built the first time a search
-reaches it, holds what that step needs: which later letters are bound, the
-jump letter, and the run of bound letters up to the next first occurrence.
-Because searches share the matcher, find_occurrence is not reentrant
-across threads; the library parallelises with processes only.
+The search is compiled once per pattern, as one scan of a host over a
+range of starts, and kept in a cache. It branches only at the first
+occurrence of a variable, and a row per first occurrence, built the first
+time a search reaches it, holds what that step needs: which later letters
+are bound, the jump letter, and the run of bound letters up to the next
+first occurrence. Because searches share the scan, find_occurrence is not
+reentrant across threads; the library parallelises with processes only.
 """
 
 from __future__ import annotations
@@ -169,42 +169,28 @@ def find_occurrence(p: str, w: str, max_image_total: int | None = None,
     of w. The recursion depth is the number of distinct variables, at most
     26 for a Pattern, whatever |p|.
 
-    The matcher of p is compiled once, with one row per first occurrence of
-    a variable, each built the first time a search reaches it, and every
-    call rebinds that one matcher to w (_compile). Two threads searching
-    for the same pattern at once would share it: the function is not
-    reentrant across threads, and map_workers splits work over processes.
+    The search for p is compiled once, with one row per first occurrence of
+    a variable, each built the first time a search reaches it (_compile);
+    a call runs at most two scans, the mirror's and then p's. Two threads
+    searching for the same pattern at once would share them: the function
+    is not reentrant across threads, and map_workers splits work over
+    processes.
     """
     if max_image_total is not None and max_image_total < 0:
         raise ValueError(f"image cap {max_image_total} must be non-negative")
-    n = len(w)
-    plen = len(p)
+    n, plen = len(w), len(p)
     budget = n if max_image_total is None or max_image_total > n else max_image_total
     if plen == 0 or budget < plen or n < plen or min_end > n:
         return None
     if min_end > 0:
-        # an occurrence ending at n - s is a mirrored one starting at s; no
-        # min()/max() in this loop: they made avoider counting 5-10% slower
-        bind, mirror, _, _ = _compile(p[::-1])
-        bind(w[::-1], 0)
-        s = 0
-        while mirror(0, s, s + budget if s + budget < n else n) < 0:
-            s += 1
-            if s > n - min_end or s > n - plen:
-                return None
-    bind, match, images, order = _compile(p)
-    bind(w, min_end)
-    for start in range(max(0, min_end - budget), n - plen + 1):
-        end = match(0, start, min(n, start + budget))
-        if end >= 0:
-            occ = Occurrence(start, dict(zip(order, images)))
-            # paranoia costs little next to the search itself
-            assert occ.substitute(p) == w[start:end]
-            return occ
-    return None
+        # an occurrence ending at n - s is a mirrored one starting at s
+        last = n - (min_end if min_end > plen else plen)
+        if _compile(p[::-1])[0](w[::-1], budget, 0, last, 0) is None:
+            return None
+    first = min_end - budget if min_end > budget else 0
+    return _compile(p)[0](w, budget, first, n - plen, min_end)
 
 
-@lru_cache(maxsize=64)
 def variables(p: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The variables of p in order of first appearance, and p as their
     indices in that order."""
@@ -213,32 +199,28 @@ def variables(p: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _compile(p: str) -> tuple[Callable, Callable, list, tuple]:
-    """The matcher of p, compiled once: (bind, match, images, order).
+def _compile(p: str) -> tuple[Callable, list]:
+    """The search for p, compiled once: (scan, images).
 
-    bind(w, min_end) points match at the host w. Then match(k, pos, limit)
-    -> end of an occurrence of p[t:] at pos within w[:limit] (ending at >=
-    min_end), or -1, where t is the first occurrence of variable k in p
-    (match(0, ...) searches all of p); on a hit, images holds the image of
-    each variable, indexed like order (the variables in order of first
-    appearance).
+    scan(w, budget, first, last, least_end) -> the first Occurrence of p in
+    w that starts at first..last, has |h(p)| <= budget and ends at >=
+    least_end, or None. It calls match(k, pos, limit) -> end of an
+    occurrence of p[t:] at pos within w[:limit], or -1, where t is the
+    first occurrence of variable k in p; on a hit, images holds the image
+    of each variable, in order of first appearance.
 
     The search branches only at a first occurrence t, and there the bound
     variables are exactly those met before t. So a row per first
     occurrence, built by _row the first time a search reaches it, says
     which letters after t are bound, and the search reads only images that
     it bound itself on the current path: images needs no clearing between
-    searches, and a stale image from an earlier host is never read. The
-    cache keeps each matcher's last host alive until it is rebound.
+    scans, and a stale image from an earlier host is never read. The
+    cache keeps each matcher's last host alive until its next scan.
     """
     order, pvars = variables(p)
     images: list[Optional[str]] = [None] * len(order)
     rows: list[Optional[tuple]] = [None] * len(order)
     w = find = startswith = min_end = None
-
-    def bind(host, least_end):
-        nonlocal w, find, startswith, min_end
-        w, find, startswith, min_end = host, host.find, host.startswith, least_end
 
     def match(k, pos, limit):
         r = rows[k]
@@ -281,11 +263,27 @@ def _compile(p: str) -> tuple[Callable, Callable, list, tuple]:
             j = j + 1 if nxt is None else find(nxt, j + 1, top + len(nxt))
         return -1
 
+    def scan(host, budget, first, last, least_end):
+        nonlocal w, find, startswith, min_end
+        w, find, startswith, min_end = host, host.find, host.startswith, least_end
+        n = len(host)
+        start = first
+        # no min()/max() in this loop: they made avoider counting 5-10% slower
+        while start <= last:
+            end = match(0, start, start + budget if start + budget < n else n)
+            if end >= 0:
+                occ = Occurrence(start, dict(zip(order, images)))
+                # paranoia costs little next to the search itself
+                assert occ.substitute(p) == host[start:end]
+                return occ
+            start += 1
+        return None
+
     # match reaches itself through a weak reference: a closure cell would
     # make each matcher a cycle, and the matchers that the enumeration
     # evicts from the cache would pile up until a full garbage collection
     again = weakref.ref(match)
-    return bind, match, images, order
+    return scan, images
 
 
 def _row(pvars: tuple[int, ...], k: int) -> tuple:
@@ -366,6 +364,7 @@ def _doubled_walk(max_vars: int, max_len: int, exactly_twice: bool
                 break  # only the first unused variable may come next
 
     extend("", 0)
+    del extend  # it holds itself in a closure cell: a cycle until a full gc
     return out
 
 
@@ -386,7 +385,7 @@ def _first_doubled_hits(hosts: list[str], max_vars: int
     q is tried once in every host still without a hit, a host drops out at
     its first hit, and the walk stops when none is left. Each host gets
     the searches of its own (length, lex) loop up to its first hit, but
-    consecutive searches share q, so variables(q) is a cache hit."""
+    consecutive searches share q, so _compile(q) is a cache hit."""
     hits: list[Optional[tuple[str, Occurrence]]] = [None] * len(hosts)
     free = dict(enumerate(hosts))
     for q in doubled_patterns_upto(max_vars, len(hosts[0])):

@@ -338,6 +338,14 @@ class TestVerifyEntry:
         assert not rep.passed
         assert rep.windows_searched == rep.preimages_checked
 
+    def test_a_palindromic_pattern_entry_compiles_one_matcher(self):
+        # AA is its own mirror: the end anchor and the forward search share
+        # one matcher, whether the entry holds a Pattern or a plain str
+        patterns._compile.cache_clear()
+        rep = verify_entry(CorpusEntry(Pattern("AA"), corpus()[0].morphism, 0.0))
+        assert not rep.passed
+        assert patterns._compile.cache_info().misses == 1
+
     def test_constant_morphism_is_caught(self):
         e = corpus()[0]
         bad = Morphism(images=("0" * e.morphism.uniform_len,) * 5)
@@ -425,7 +433,7 @@ class TestCountAvoiding:
         assert calls == 78_489
 
     def test_compiles_the_pattern_and_its_mirror_once(self):
-        # 78,489 searches, each rebinding one of two compiled matchers
+        # 78,489 searches, each running the scans of two compiled matchers
         compile_ = patterns._compile
         compile_.cache_clear()
         assert count_avoiding("AAABBCCDD", 3, 10)[10] == 58_566

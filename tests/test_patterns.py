@@ -236,9 +236,21 @@ def binary_words(max_len):
             for t in itertools.product("01", repeat=n)]
 
 
+@pytest.fixture
+def gc_off():
+    # no automatic collection, and nothing left to collect at the start:
+    # what gc.collect() then finds, the test itself left behind
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if enabled:
+        gc.enable()
+
+
 class TestCompiledMatcher:
-    # one matcher per pattern, kept between searches and rebound to each
-    # host: nothing of one search may leak into the next
+    # one compiled scan per pattern, kept between searches and given each
+    # host in turn: nothing of one search may leak into the next
 
     @pytest.mark.parametrize("p", ["ABA", "ABBA", "AABAA", "ABCBA"])
     def test_palindrome_shares_its_matcher_with_the_mirror_search(self, p):
@@ -267,23 +279,20 @@ class TestCompiledMatcher:
         # a search reads only the images it bound on its own path, so the
         # list is never cleared: filling it with junk changes no result
         p = "ABACBC"
-        images = patterns._compile(p)[2]
+        images = patterns._compile(p)[1]
         for w in binary_words(7):
             images[:] = ["01" * 9] * len(images)
             assert first(p, w, None, len(w)) == \
                 oracles.brute_first_occurrence(p, w, None, len(w))
 
-    def test_an_evicted_matcher_is_freed_at_once(self):
-        # no reference cycle keeps a matcher alive after the cache drops it
-        match = weakref.ref(patterns._compile("ABACBC")[1])
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            patterns._compile.cache_clear()
-            assert match() is None
-        finally:
-            if enabled:
-                gc.enable()
+    def test_an_evicted_matcher_is_freed_at_once(self, gc_off):
+        # no reference cycle keeps a scan, or the match it calls, alive
+        # after the cache drops it
+        scan = weakref.ref(patterns._compile("ABACBC")[0])
+        assert first("ABACBC", "1010212", None, 7) is not None
+        patterns._compile.cache_clear()
+        assert scan() is None
+        assert gc.collect() == 0
 
     def test_one_pattern_in_many_hosts_in_a_row(self):
         # ABACBC: C jumps to B's image, then C is a bound run; hosts of
@@ -406,6 +415,13 @@ def test_enumerate_remaining_four_variables():
 
 def test_enumerate_remaining_five_variables():
     assert [str(p) for p in enumerate_remaining(5)] == SPORADIC_5
+
+
+def test_enumeration_leaves_no_cyclic_garbage(gc_off):
+    # the walk and the compiled searches free what they build as soon as
+    # they drop it, without waiting for a full garbage collection
+    assert enumerate_remaining(5) == SPORADIC_5
+    assert gc.collect() == 0
 
 
 def test_enumerate_remaining_parallel_matches_serial():
